@@ -36,6 +36,7 @@ std::vector<double> accumulation_penalties(const MappingSolution& solution,
   std::vector<double> penalty(static_cast<std::size_t>(solution.core_count()),
                               0.0);
   const Workload& workload = solution.workload();
+  std::vector<int> hosts;
   for (const NodePartition& p : workload.partitions()) {
     const int per_replica = p.ags_per_replica();
     if (per_replica <= 1) continue;  // single-AG replicas never accumulate
@@ -46,7 +47,8 @@ std::vector<double> accumulation_penalties(const MappingSolution& solution,
     const double fold_ps = elements / params.vfu_ops_per_ns * 1000.0;
 
     int owner = -1;
-    for (int core : solution.cores_of(p.node)) {
+    solution.cores_of(p.node, hosts);
+    for (int core : hosts) {
       for (const Gene& g : solution.genes(core)) {
         if (g.node != p.node || g.ag_count % per_replica == 0) continue;
         if (owner < 0) {
@@ -143,6 +145,7 @@ std::vector<double> LLFitnessContext::finish_times(
 
   const std::vector<double> penalties =
       accumulation_penalties(solution, params);
+  std::vector<int> hosts;
   for (int i = 0; i < count; ++i) {
     const NodePartition& p = workload_->partitions()[static_cast<std::size_t>(i)];
     // Uninterrupted execution time of the node: every replica processes
@@ -151,7 +154,8 @@ std::vector<double> LLFitnessContext::finish_times(
     // Cores burdened by cross-core accumulation stretch the node they host.
     int max_ags_one_core = 0;
     double comm_penalty = 0.0;
-    for (int core : solution.cores_of(p.node)) {
+    solution.cores_of(p.node, hosts);
+    for (int core : hosts) {
       for (const Gene& g : solution.genes(core)) {
         if (g.node == p.node) {
           max_ags_one_core = std::max(max_ags_one_core, g.ag_count);
@@ -170,8 +174,8 @@ std::vector<double> LLFitnessContext::finish_times(
     for (int consumer : consumers_[static_cast<std::size_t>(i)]) {
       const NodePartition& c =
           workload_->partitions()[static_cast<std::size_t>(consumer)];
-      subscriber_cores +=
-          static_cast<int>(solution.cores_of(c.node).size());
+      solution.cores_of(c.node, hosts);
+      subscriber_cores += static_cast<int>(hosts.size());
     }
     const double fanout_bytes = static_cast<double>(solution.cycles(p.node)) *
                                 p.cols_per_chunk * params.activation_bytes *

@@ -98,8 +98,8 @@ class LLFitnessContext {
 /// then runs the Fig 5 / Fig 6 estimator entirely on the slot's stripes
 /// without allocating.
 ///
-/// Slots share no mutable state, so a generation's changed children can be
-/// loaded and evaluated as a lock-free parallel-for over distinct slots.
+/// Slots share no mutable state, so distinct slots may be loaded and
+/// evaluated concurrently without a lock.
 ///
 /// `evaluate()` mirrors ht_fitness / LLFitnessContext::evaluate operation
 /// for operation — same iteration order, same floating-point association —

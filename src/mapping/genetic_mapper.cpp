@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -25,6 +27,13 @@ std::string to_string(PipelineMode mode) {
 }
 
 namespace {
+
+/// Reusable index buffers for the mutation helpers, so breeding a child
+/// allocates nothing once they have grown to the workload's core count.
+struct MutationScratch {
+  std::vector<int> cores;   ///< host cores of the node being mutated
+  std::vector<int> picked;  ///< placed-AG cores / misaligned host cores
+};
 
 /// Finds a core that can accept `ag_count` AGs of `node`, trying a few random
 /// probes before falling back to a full scan from a random offset. Returns
@@ -51,10 +60,11 @@ int find_feasible_core(const MappingSolution& s, Rng& rng, NodeId node,
 /// multiplies the row-forwarding fan-out its providers pay. Returns false
 /// (leaving the solution unchanged) when placement is impossible.
 bool place_replica(MappingSolution& s, Rng& rng, const NodePartition& p,
-                   bool prefer_locality = false) {
+                   bool prefer_locality, MutationScratch& scratch) {
   const int ags = p.ags_per_replica();
   if (prefer_locality) {
-    for (int core : s.cores_of(p.node)) {
+    s.cores_of(p.node, scratch.cores);
+    for (int core : scratch.cores) {
       if (s.can_add(core, p.node, ags)) {
         s.add(core, p.node, ags);
         return true;
@@ -67,8 +77,8 @@ bool place_replica(MappingSolution& s, Rng& rng, const NodePartition& p,
     return true;
   }
   // Scatter AG by AG; roll back on failure.
-  std::vector<int> placed_cores;
-  placed_cores.reserve(static_cast<std::size_t>(ags));
+  std::vector<int>& placed_cores = scratch.picked;
+  placed_cores.clear();
   for (int i = 0; i < ags; ++i) {
     const int c = find_feasible_core(s, rng, p.node, 1);
     if (c < 0) {
@@ -83,9 +93,11 @@ bool place_replica(MappingSolution& s, Rng& rng, const NodePartition& p,
 
 /// Removes one full replica's worth of AGs from random cores holding the
 /// node. The caller guarantees replication >= 2.
-void remove_replica(MappingSolution& s, Rng& rng, const NodePartition& p) {
+void remove_replica(MappingSolution& s, Rng& rng, const NodePartition& p,
+                    MutationScratch& scratch) {
   int remaining = p.ags_per_replica();
-  std::vector<int> cores = s.cores_of(p.node);
+  std::vector<int>& cores = scratch.cores;
+  s.cores_of(p.node, cores);
   rng.shuffle(cores);
   for (int c : cores) {
     if (remaining == 0) break;
@@ -161,7 +173,8 @@ std::vector<int> replication_targets(const Workload& workload, Rng& rng,
 /// placement failure.
 MappingSolution random_individual(const Workload& workload,
                                   const MapperOptions& options, Rng& rng,
-                                  double target_fill) {
+                                  double target_fill,
+                                  MutationScratch& scratch) {
   // LL mode prefers tight host-core sets (row-forwarding fan-out); HT mode
   // benefits from spreading AGs to parallelize MVM issue.
   const bool prefer_locality = options.mode == PipelineMode::kLowLatency;
@@ -175,7 +188,7 @@ MappingSolution random_individual(const Workload& workload,
               return a->xbars_per_replica() > b->xbars_per_replica();
             });
   for (const NodePartition* p : order) {
-    if (!place_replica(s, rng, *p, prefer_locality)) {
+    if (!place_replica(s, rng, *p, prefer_locality, scratch)) {
       throw CapacityError(
           "cannot place one replica of every node; raise core_count or "
           "max_nodes_per_core (node " +
@@ -194,7 +207,7 @@ MappingSolution random_individual(const Workload& workload,
     const int target =
         targets[static_cast<std::size_t>(workload.partition_index(p->node))];
     if (s.replication(p->node) >= std::min(target, p->windows) ||
-        !place_replica(s, rng, *p, prefer_locality)) {
+        !place_replica(s, rng, *p, prefer_locality, scratch)) {
       growable.erase(growable.begin() + pick);
     }
   }
@@ -205,7 +218,7 @@ MappingSolution random_individual(const Workload& workload,
 /// the current replication (geometric moves) so heavily-windowed nodes can
 /// reach their useful replication range within a GA run.
 bool mutate_grow(MappingSolution& s, Rng& rng, const Workload& workload,
-                 bool prefer_locality) {
+                 bool prefer_locality, MutationScratch& scratch) {
   const int pick = rng.uniform_int(workload.partition_count());
   const NodePartition& p =
       workload.partitions()[static_cast<std::size_t>(pick)];
@@ -214,7 +227,7 @@ bool mutate_grow(MappingSolution& s, Rng& rng, const Workload& workload,
   const int step = 1 + rng.uniform_int(std::max(1, current / 2));
   bool grew = false;
   for (int i = 0; i < step && s.replication(p.node) < p.windows; ++i) {
-    if (!place_replica(s, rng, p, prefer_locality)) break;
+    if (!place_replica(s, rng, p, prefer_locality, scratch)) break;
     grew = true;
   }
   return grew;
@@ -222,7 +235,8 @@ bool mutate_grow(MappingSolution& s, Rng& rng, const Workload& workload,
 
 /// Mutation II: shrink a random node's replication (geometric step, never
 /// below one replica).
-bool mutate_shrink(MappingSolution& s, Rng& rng, const Workload& workload) {
+bool mutate_shrink(MappingSolution& s, Rng& rng, const Workload& workload,
+                   MutationScratch& scratch) {
   const int pick = rng.uniform_int(workload.partition_count());
   const NodePartition& p =
       workload.partitions()[static_cast<std::size_t>(pick)];
@@ -230,7 +244,7 @@ bool mutate_shrink(MappingSolution& s, Rng& rng, const Workload& workload) {
   if (current < 2) return false;
   const int step = 1 + rng.uniform_int(std::max(1, (current - 1) / 2));
   for (int i = 0; i < step && s.replication(p.node) >= 2; ++i) {
-    remove_replica(s, rng, p);
+    remove_replica(s, rng, p, scratch);
   }
   return true;
 }
@@ -238,7 +252,7 @@ bool mutate_shrink(MappingSolution& s, Rng& rng, const Workload& workload) {
 /// Mutation III: spread part of a random gene to other cores.
 bool mutate_spread(MappingSolution& s, Rng& rng) {
   const int core = rng.uniform_int(s.core_count());
-  const auto& genes = s.genes(core);
+  const std::span<const Gene> genes = s.genes(core);
   if (genes.empty()) return false;
   const Gene gene = genes[static_cast<std::size_t>(rng.pick_index(genes))];
   if (gene.ag_count < 2) return false;
@@ -259,11 +273,13 @@ bool mutate_spread(MappingSolution& s, Rng& rng) {
 /// ags-per-replica), pulling a remainder onto another remainder's core so
 /// the stitched accumulation group becomes core-local — the move that
 /// directly removes cross-core partial-sum traffic.
-bool mutate_merge(MappingSolution& s, Rng& rng, const Workload& workload) {
+bool mutate_merge(MappingSolution& s, Rng& rng, const Workload& workload,
+                  MutationScratch& scratch) {
   const int pick = rng.uniform_int(workload.partition_count());
   const NodePartition& p =
       workload.partitions()[static_cast<std::size_t>(pick)];
-  std::vector<int> cores = s.cores_of(p.node);
+  std::vector<int>& cores = scratch.cores;
+  s.cores_of(p.node, cores);
   if (cores.size() < 2) return false;
 
   const int per_replica = p.ags_per_replica();
@@ -278,7 +294,8 @@ bool mutate_merge(MappingSolution& s, Rng& rng, const Workload& workload) {
   int dst = -1;
   if (per_replica > 1 && rng.bernoulli(0.5)) {
     // Alignment merge: move one remainder onto another remainder's core.
-    std::vector<int> misaligned;
+    std::vector<int>& misaligned = scratch.picked;
+    misaligned.clear();
     for (int core : cores) {
       if (count_on(core) % per_replica != 0) misaligned.push_back(core);
     }
@@ -336,17 +353,25 @@ std::size_t worst_index(const std::vector<Individual>& population) {
 }
 
 /// One island of the model: a sub-population, its private RNG stream, its
-/// SoA evaluator, and its convergence record. Between migration barriers
-/// every field is touched only by the parallel_for index that owns the
-/// island; migration runs on the orchestrating thread after the barrier
-/// (parallel_for's completion handshake provides the happens-before), so no
-/// field needs a lock — see docs/concurrency.md.
+/// SoA evaluator, its breeding buffers and its convergence record. Between
+/// migration barriers every field is touched only by the parallel_for index
+/// that owns the island; migration runs on the orchestrating thread after
+/// the barrier (parallel_for's completion handshake provides the
+/// happens-before), so no field needs a lock — see docs/concurrency.md.
+///
+/// Breeding recycles storage: every generation copy-assigns its children
+/// into `next` (same-shaped solutions, so no reallocation) and then swaps
+/// it with `population`, so steady-state generations allocate nothing.
 struct Island {
   explicit Island(std::uint64_t seed) : rng(seed) {}
 
   Rng rng;
   int population_target = 0;
   std::vector<Individual> population;
+  std::vector<Individual> next;        ///< the generation being bred
+  std::vector<std::size_t> ranking;    ///< elite selection order
+  std::vector<int> pending;            ///< slots whose fitness is stale
+  MutationScratch scratch;
   std::unique_ptr<PopulationEvaluator> evaluator;
   std::vector<double> best_history;  ///< best fitness after each generation
   int evaluations = 0;
@@ -383,6 +408,8 @@ MappingSolution GeneticMapper::map(const Workload& workload,
   const LLFitnessContext ll_context(workload);
 
   stats_ = GaStats{};
+  stats_.best_history.reserve(static_cast<std::size_t>(config_.generations) +
+                              1);
 
   // The population splits across the islands (remainder to the first ones),
   // each with its own RNG stream split from the request seed. Results
@@ -404,34 +431,23 @@ MappingSolution GeneticMapper::map(const Workload& workload,
     islands.push_back(std::move(island));
   }
 
+  // Islands are the unit of parallelism; a single island runs on the
+  // calling thread. Spreading one island's evaluations over a 4-thread pool
+  // measured 0.62-0.92x on googlenet and squeezenet and at best 1.24x on
+  // inception-v3, for up to 4x the CPU.
   ThreadPool* pool = options.pool != nullptr ? options.pool : &island_pool();
-  // Islands are the unit of parallelism; with a single island the changed
-  // children of a generation are the unit instead (both run on `pool`).
-  ThreadPool* inner_pool =
-      island_count == 1 && pool->size() > 1 ? pool : nullptr;
 
   // Children are bred with the island's RNG first and evaluated afterwards
   // as a batch: evaluation draws no randomness and nothing reads a child's
   // fitness within the generation that breeds it, so deferring the
   // evaluations preserves the sequential GA's RNG draw sequence exactly
-  // while letting the batch run data-oriented over the island's SoA slots —
-  // and, for islands=1, as a parallel-for over distinct slots.
+  // while letting the batch run data-oriented over the island's SoA slots.
   auto evaluate_batch = [](Island& island, std::vector<Individual>& crowd,
-                           const std::vector<int>& pending,
-                           ThreadPool* batch_pool) {
-    auto evaluate_one = [&](int j) {
-      const int slot = pending[static_cast<std::size_t>(j)];
+                           const std::vector<int>& pending) {
+    for (const int slot : pending) {
       Individual& individual = crowd[static_cast<std::size_t>(slot)];
       island.evaluator->load(slot, individual.solution);
       individual.fitness = island.evaluator->evaluate(slot);
-    };
-    if (batch_pool != nullptr && pending.size() > 1) {
-      batch_pool->parallel_for(static_cast<int>(pending.size()),
-                               evaluate_one);
-    } else {
-      for (int j = 0; j < static_cast<int>(pending.size()); ++j) {
-        evaluate_one(j);
-      }
     }
     island.evaluations += static_cast<int>(pending.size());
   };
@@ -462,7 +478,9 @@ MappingSolution GeneticMapper::map(const Workload& workload,
     Island& island = islands[static_cast<std::size_t>(k)];
     island.population.reserve(
         static_cast<std::size_t>(island.population_target));
-    std::vector<int> pending;
+    island.best_history.reserve(
+        static_cast<std::size_t>(config_.generations));
+    std::vector<int>& pending = island.pending;
     pending.reserve(static_cast<std::size_t>(island.population_target));
     if (baseline_seed != nullptr && island.population_target > 1) {
       island.population.push_back({*baseline_seed, 0.0});
@@ -477,12 +495,16 @@ MappingSolution GeneticMapper::map(const Workload& workload,
       if (options.cancel != nullptr) {
         options.cancel->throw_if_cancelled("ga population initialization");
       }
-      MappingSolution s =
-          random_individual(workload, options, island.rng, config_.target_fill);
+      MappingSolution s = random_individual(
+          workload, options, island.rng, config_.target_fill, island.scratch);
       pending.push_back(static_cast<int>(island.population.size()));
       island.population.push_back({std::move(s), 0.0});
     }
-    evaluate_batch(island, island.population, pending, inner_pool);
+    evaluate_batch(island, island.population, pending);
+    if (config_.generations > 0) {
+      island.next = island.population;  // the recycled breeding buffers
+      island.ranking.resize(island.population.size());
+    }
   };
 
   std::vector<int> ops;
@@ -506,20 +528,21 @@ MappingSolution GeneticMapper::map(const Workload& workload,
                            std::to_string(generation) + " of " +
                            std::to_string(config_.generations));
     }
-    std::vector<Individual>& population = island.population;
+    const std::vector<Individual>& population = island.population;
+    std::vector<Individual>& next = island.next;
     const int target = island.population_target;
-    std::vector<Individual> next;
-    next.reserve(population.size());
     // Elitism: carry the best individuals unchanged (no crossover; the
     // paper skips it as impractical for this encoding).
-    std::vector<std::size_t> ranking(population.size());
+    std::vector<std::size_t>& ranking = island.ranking;
     for (std::size_t i = 0; i < ranking.size(); ++i) ranking[i] = i;
     std::sort(ranking.begin(), ranking.end(),
               [&](std::size_t a, std::size_t b) {
                 return population[a].fitness < population[b].fitness;
               });
-    for (int e = 0; e < island_elite && e < target; ++e) {
-      next.push_back(population[ranking[static_cast<std::size_t>(e)]]);
+    int bred = 0;
+    for (; bred < island_elite && bred < target; ++bred) {
+      next[static_cast<std::size_t>(bred)] =
+          population[ranking[static_cast<std::size_t>(bred)]];
     }
 
     auto tournament = [&]() -> const Individual& {
@@ -535,36 +558,39 @@ MappingSolution GeneticMapper::map(const Workload& workload,
       return population[winner];
     };
 
-    std::vector<int> pending;
-    while (static_cast<int>(next.size()) < target) {
-      Individual child = tournament();
+    std::vector<int>& pending = island.pending;
+    pending.clear();
+    for (; bred < target; ++bred) {
+      Individual& child = next[static_cast<std::size_t>(bred)];
+      child = tournament();
       const int mutation_count = island.rng.uniform_range(
           1, std::max(1, config_.mutations_per_child));
       bool changed = false;
       for (int m = 0; m < mutation_count; ++m) {
         switch (ops[static_cast<std::size_t>(island.rng.pick_index(ops))]) {
           case 0:
-            changed |=
-                mutate_grow(child.solution, island.rng, workload,
-                            options.mode == PipelineMode::kLowLatency);
+            changed |= mutate_grow(child.solution, island.rng, workload,
+                                   options.mode == PipelineMode::kLowLatency,
+                                   island.scratch);
             break;
           case 1:
-            changed |= mutate_shrink(child.solution, island.rng, workload);
+            changed |= mutate_shrink(child.solution, island.rng, workload,
+                                     island.scratch);
             break;
           case 2: changed |= mutate_spread(child.solution, island.rng); break;
           case 3:
-            changed |= mutate_merge(child.solution, island.rng, workload);
+            changed |= mutate_merge(child.solution, island.rng, workload,
+                                    island.scratch);
             break;
           default: break;
         }
       }
-      if (changed) pending.push_back(static_cast<int>(next.size()));
-      next.push_back(std::move(child));
+      if (changed) pending.push_back(bred);
     }
-    evaluate_batch(island, next, pending, inner_pool);
-    population = std::move(next);
+    evaluate_batch(island, next, pending);
+    island.population.swap(next);
     island.best_history.push_back(
-        population[best_index(population)].fitness);
+        island.population[best_index(island.population)].fitness);
   };
 
   // parallel_for rethrows the lowest island's exception after every island

@@ -15,14 +15,16 @@ MappingSolution::MappingSolution(const Workload& workload,
       max_nodes_per_core_(max_nodes_per_core) {
   PIMCOMP_CHECK(max_nodes_per_core >= 1,
                 "max_nodes_per_core must be positive");
-  genes_.resize(static_cast<std::size_t>(core_count_));
+  genes_.resize(slot_base(core_count_));
+  gene_count_.assign(static_cast<std::size_t>(core_count_), 0);
   xbars_used_.assign(static_cast<std::size_t>(core_count_), 0);
   total_ags_.assign(static_cast<std::size_t>(workload.partition_count()), 0);
 }
 
-const std::vector<Gene>& MappingSolution::genes(int core) const {
+std::span<const Gene> MappingSolution::genes(int core) const {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  return genes_[static_cast<std::size_t>(core)];
+  return {genes_.data() + slot_base(core),
+          static_cast<std::size_t>(gene_count_[static_cast<std::size_t>(core)])};
 }
 
 bool MappingSolution::can_add(int core, NodeId node, int ag_count) const {
@@ -39,7 +41,7 @@ bool MappingSolution::can_add(int core, NodeId node, int ag_count) const {
     return false;
   }
   // Guard the integer gene encoding bound.
-  for (const Gene& g : genes_[static_cast<std::size_t>(core)]) {
+  for (const Gene& g : genes(core)) {
     if (g.node == node && g.ag_count + ag_count > kMaxAgCountPerGene) {
       return false;
     }
@@ -51,11 +53,13 @@ void MappingSolution::add(int core, NodeId node, int ag_count) {
   PIMCOMP_CHECK(can_add(core, node, ag_count),
                 "MappingSolution::add called with infeasible placement");
   const NodePartition& p = workload_->partition_of(node);
-  auto& core_genes = genes_[static_cast<std::size_t>(core)];
-  auto it = std::find_if(core_genes.begin(), core_genes.end(),
-                         [node](const Gene& g) { return g.node == node; });
-  if (it == core_genes.end()) {
-    core_genes.push_back(Gene{node, ag_count});
+  Gene* first = genes_.data() + slot_base(core);
+  int& count = gene_count_[static_cast<std::size_t>(core)];
+  Gene* it = std::find_if(first, first + count,
+                          [node](const Gene& g) { return g.node == node; });
+  if (it == first + count) {
+    *it = Gene{node, ag_count};  // can_add proved a free slot exists
+    ++count;
   } else {
     it->ag_count += ag_count;
   }
@@ -67,13 +71,17 @@ void MappingSolution::add(int core, NodeId node, int ag_count) {
 int MappingSolution::remove(int core, NodeId node, int ag_count) {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
   PIMCOMP_ASSERT(ag_count > 0, "ag_count must be positive");
-  auto& core_genes = genes_[static_cast<std::size_t>(core)];
-  auto it = std::find_if(core_genes.begin(), core_genes.end(),
-                         [node](const Gene& g) { return g.node == node; });
-  if (it == core_genes.end()) return 0;
+  Gene* first = genes_.data() + slot_base(core);
+  int& count = gene_count_[static_cast<std::size_t>(core)];
+  Gene* it = std::find_if(first, first + count,
+                          [node](const Gene& g) { return g.node == node; });
+  if (it == first + count) return 0;
   const int removed = std::min(it->ag_count, ag_count);
   it->ag_count -= removed;
-  if (it->ag_count == 0) core_genes.erase(it);
+  if (it->ag_count == 0) {
+    std::copy(it + 1, first + count, it);  // survivors keep their order
+    --count;
+  }
   const NodePartition& p = workload_->partition_of(node);
   xbars_used_[static_cast<std::size_t>(core)] -= removed * p.xbars_per_ag;
   total_ags_[static_cast<std::size_t>(workload_->partition_index(node))] -=
@@ -108,22 +116,26 @@ int MappingSolution::free_xbars(int core) const {
 
 int MappingSolution::gene_count(int core) const {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  return static_cast<int>(genes_[static_cast<std::size_t>(core)].size());
+  return gene_count_[static_cast<std::size_t>(core)];
 }
 
 bool MappingSolution::has_node(int core, NodeId node) const {
-  PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  const auto& core_genes = genes_[static_cast<std::size_t>(core)];
+  const std::span<const Gene> core_genes = genes(core);
   return std::any_of(core_genes.begin(), core_genes.end(),
                      [node](const Gene& g) { return g.node == node; });
 }
 
 std::vector<int> MappingSolution::cores_of(NodeId node) const {
   std::vector<int> cores;
-  for (int c = 0; c < core_count_; ++c) {
-    if (has_node(c, node)) cores.push_back(c);
-  }
+  cores_of(node, cores);
   return cores;
+}
+
+void MappingSolution::cores_of(NodeId node, std::vector<int>& out) const {
+  out.clear();
+  for (int c = 0; c < core_count_; ++c) {
+    if (has_node(c, node)) out.push_back(c);
+  }
 }
 
 std::int64_t MappingSolution::total_xbars_used() const {
@@ -138,12 +150,7 @@ void MappingSolution::validate() const {
                                workload_->partition_count()),
                            0);
   for (int c = 0; c < core_count_; ++c) {
-    const auto& core_genes = genes_[static_cast<std::size_t>(c)];
-    if (static_cast<int>(core_genes.size()) > max_nodes_per_core_) {
-      throw Error("core " + std::to_string(c) + " holds " +
-                  std::to_string(core_genes.size()) +
-                  " nodes, exceeding max_nodes_per_core");
-    }
+    const std::span<const Gene> core_genes = genes(c);
     int xbars = 0;
     for (std::size_t i = 0; i < core_genes.size(); ++i) {
       const Gene& g = core_genes[i];
@@ -217,7 +224,7 @@ std::vector<AgInstance> MappingSolution::instantiate() const {
     std::int64_t next = 0;
     std::vector<std::pair<int, int>> remainders;  // (core, leftover AGs)
     for (int c = 0; c < core_count_; ++c) {
-      for (const Gene& g : genes_[static_cast<std::size_t>(c)]) {
+      for (const Gene& g : genes(c)) {
         if (g.node != p.node) continue;
         const int whole = g.ag_count / per_replica;
         for (int k = 0; k < whole * per_replica; ++k) emit(c, next++);
@@ -236,10 +243,9 @@ std::vector<std::int64_t> MappingSolution::encode() const {
   std::vector<std::int64_t> chromosome(
       static_cast<std::size_t>(core_count_) * max_nodes_per_core_, 0);
   for (int c = 0; c < core_count_; ++c) {
-    const auto& core_genes = genes_[static_cast<std::size_t>(c)];
+    const std::span<const Gene> core_genes = genes(c);
     for (std::size_t i = 0; i < core_genes.size(); ++i) {
-      chromosome[static_cast<std::size_t>(c) * max_nodes_per_core_ + i] =
-          encode_gene(core_genes[i]);
+      chromosome[slot_base(c) + i] = encode_gene(core_genes[i]);
     }
   }
   return chromosome;

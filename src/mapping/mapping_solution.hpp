@@ -2,6 +2,7 @@
 #define PIMCOMP_MAPPING_MAPPING_SOLUTION_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ namespace pimcomp {
 ///    max_node_num_in_core chromosome bound);
 ///  * each node's total AG count is a positive multiple of its
 ///    ags-per-replica, i.e. replication is integral and >= 1.
+///
+/// Storage is flat: one core-major gene buffer with max_nodes_per_core
+/// slots per core plus a per-core gene count, so every solution of a
+/// workload has the same shape and copy-assigning one onto another reuses
+/// the target's storage (the GA recycles its breeding buffers this way).
 class MappingSolution {
  public:
   MappingSolution(const Workload& workload, int max_nodes_per_core);
@@ -32,8 +38,9 @@ class MappingSolution {
   int core_count() const { return core_count_; }
   int max_nodes_per_core() const { return max_nodes_per_core_; }
 
-  /// Genes resident on a core (each a distinct node).
-  const std::vector<Gene>& genes(int core) const;
+  /// Genes resident on a core (each a distinct node), in insertion order.
+  /// The view is invalidated by the next mutation of this core.
+  std::span<const Gene> genes(int core) const;
 
   // --- Mutation primitives (used by mappers) -------------------------------
 
@@ -46,7 +53,8 @@ class MappingSolution {
   void add(int core, NodeId node, int ag_count);
 
   /// Removes up to `ag_count` AGs of `node` from `core`; returns how many
-  /// were actually removed (0 when the node is absent).
+  /// were actually removed (0 when the node is absent). A gene that drops
+  /// to zero AGs frees its slot; the core's other genes keep their order.
   int remove(int core, NodeId node, int ag_count);
 
   // --- Queries ---------------------------------------------------------------
@@ -61,8 +69,11 @@ class MappingSolution {
   int free_xbars(int core) const;
   int gene_count(int core) const;
   bool has_node(int core, NodeId node) const;
-  /// Cores currently holding at least one AG of `node`.
+  /// Cores currently holding at least one AG of `node`, ascending.
   std::vector<int> cores_of(NodeId node) const;
+  /// Allocation-free form for hot loops: clears `out`, then fills it as
+  /// above, reusing its capacity.
+  void cores_of(NodeId node, std::vector<int>& out) const;
 
   /// Total crossbars used across all cores.
   std::int64_t total_xbars_used() const;
@@ -100,12 +111,19 @@ class MappingSolution {
   std::string to_string() const;
 
  private:
+  /// First gene slot of `core` in genes_.
+  std::size_t slot_base(int core) const {
+    return static_cast<std::size_t>(core) *
+           static_cast<std::size_t>(max_nodes_per_core_);
+  }
+
   const Workload* workload_;
   int core_count_;
   int max_nodes_per_core_;
-  std::vector<std::vector<Gene>> genes_;  // per core
-  std::vector<int> xbars_used_;           // per core cache
-  std::vector<int> total_ags_;            // per partition index cache
+  std::vector<Gene> genes_;      // core-major, max_nodes_per_core_ per core
+  std::vector<int> gene_count_;  // per core: live slots at the core's front
+  std::vector<int> xbars_used_;  // per core cache
+  std::vector<int> total_ags_;   // per partition index cache
 };
 
 }  // namespace pimcomp

@@ -1,6 +1,7 @@
 #include "mapping/puma_mapper.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
@@ -62,6 +63,7 @@ MappingSolution PumaMapper::map(const Workload& workload,
   // cores fill up and run long while late cores idle (paper §V-B2).
   int cursor = 0;
   const int cores = solution.core_count();
+  std::vector<int> hosts;
   for (int i = 0; i < workload.partition_count(); ++i) {
     const NodePartition& p =
         workload.partitions()[static_cast<std::size_t>(i)];
@@ -87,7 +89,8 @@ MappingSolution PumaMapper::map(const Workload& workload,
         if (whole_replicas >= 1) {
           const int excess = keep_ags - whole_replicas * p.ags_per_replica();
           if (excess > 0) {
-            for (int c : solution.cores_of(p.node)) {
+            solution.cores_of(p.node, hosts);
+            for (int c : hosts) {
               const int removed = solution.remove(
                   c, p.node, excess - (keep_ags - solution.total_ags(p.node)));
               if (removed > 0 &&

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "graph/builder.hpp"
@@ -74,9 +76,15 @@ TEST_F(SolutionTest, NodeSlotBoundEnforced) {
   MappingSolution s(*workload_, 2);
   s.add(0, workload_->partitions()[0].node, 1);
   s.add(0, workload_->partitions()[1].node, 1);
-  EXPECT_FALSE(s.can_add(0, workload_->partitions()[2].node, 1));
-  // Existing nodes can still grow.
+  const NodeId extra = workload_->partitions()[2].node;
+  EXPECT_FALSE(s.can_add(0, extra, 1));
+  EXPECT_THROW(s.add(0, extra, 1), ConfigError);
+  EXPECT_EQ(s.gene_count(0), 2);
+  // Existing nodes can still grow, and the full core's slots do not spill
+  // into its neighbour's.
   EXPECT_TRUE(s.can_add(0, workload_->partitions()[0].node, 1));
+  EXPECT_EQ(s.gene_count(1), 0);
+  EXPECT_TRUE(s.can_add(1, extra, 1));
 }
 
 TEST_F(SolutionTest, RemoveReturnsActualCount) {
@@ -228,6 +236,117 @@ TEST_F(SolutionTest, InstantiateCountsMatchTotals) {
   for (const NodePartition& p : workload_->partitions()) {
     EXPECT_EQ(counts[p.node], s.total_ags(p.node));
     EXPECT_EQ(counts[p.node], 2 * p.ags_per_replica());
+  }
+}
+
+// --- Flat gene storage ------------------------------------------------------
+// Genes live in one core-major buffer (max_nodes_per_core slots per core);
+// the GA copy-assigns solutions into recycled buffers, so the slot order
+// and the reuse of freed slots are behaviour, not layout trivia: mutation
+// picks, encode() slots and the evaluator's gather all follow it.
+
+TEST_F(SolutionTest, RemovingMiddleGeneKeepsSurvivorOrder) {
+  MappingSolution s(*workload_, 8);
+  const NodeId a = workload_->partitions()[0].node;
+  const NodeId b = workload_->partitions()[1].node;
+  const NodeId c = workload_->partitions()[2].node;
+  s.add(0, a, 1);
+  s.add(0, b, 2);
+  s.add(0, c, 3);
+  EXPECT_EQ(s.remove(0, b, 2), 2);
+  ASSERT_EQ(s.gene_count(0), 2);
+  EXPECT_EQ(s.genes(0)[0], (Gene{a, 1}));
+  EXPECT_EQ(s.genes(0)[1], (Gene{c, 3}));
+  const std::vector<std::int64_t> chromosome = s.encode();
+  EXPECT_EQ(chromosome[0], encode_gene(Gene{a, 1}));
+  EXPECT_EQ(chromosome[1], encode_gene(Gene{c, 3}));
+  EXPECT_EQ(chromosome[2], 0);
+}
+
+TEST_F(SolutionTest, FreedSlotIsReusedByAdd) {
+  MappingSolution s(*workload_, 2);
+  const NodeId a = workload_->partitions()[0].node;
+  const NodeId b = workload_->partitions()[1].node;
+  const NodeId c = workload_->partitions()[2].node;
+  s.add(0, a, 1);
+  s.add(0, b, 1);
+  ASSERT_FALSE(s.can_add(0, c, 1));
+  EXPECT_EQ(s.remove(0, a, 1), 1);
+  ASSERT_TRUE(s.can_add(0, c, 1));
+  s.add(0, c, 1);
+  ASSERT_EQ(s.gene_count(0), 2);
+  EXPECT_EQ(s.genes(0)[0].node, b);
+  EXPECT_EQ(s.genes(0)[1].node, c);
+  EXPECT_EQ(s.xbars_used(0), workload_->partition_of(b).xbars_per_ag +
+                                 workload_->partition_of(c).xbars_per_ag);
+}
+
+TEST_F(SolutionTest, CopyAssignOntoSameWorkloadGivesEqualEncode) {
+  MappingSolution source(*workload_, 8);
+  MappingSolution target(*workload_, 8);
+  for (const NodePartition& p : workload_->partitions()) {
+    for (int c = 0; c < 36; ++c) {
+      if (source.can_add(c, p.node, 1)) {
+        source.add(c, p.node, 1);
+        break;
+      }
+    }
+  }
+  target.add(5, workload_->partitions()[0].node, 2);
+  target = source;
+  EXPECT_EQ(target.encode(), source.encode());
+  for (const NodePartition& p : workload_->partitions()) {
+    EXPECT_EQ(target.total_ags(p.node), source.total_ags(p.node));
+  }
+  for (int c = 0; c < 36; ++c) {
+    EXPECT_EQ(target.xbars_used(c), source.xbars_used(c));
+  }
+  // The copy owns its storage: mutating it leaves the source untouched.
+  const std::vector<std::int64_t> before = source.encode();
+  target.remove(target.cores_of(workload_->partitions()[0].node).front(),
+                workload_->partitions()[0].node, 1);
+  EXPECT_EQ(source.encode(), before);
+}
+
+TEST_F(SolutionTest, CoresOfOutParamClearsFirst) {
+  MappingSolution s(*workload_, 8);
+  const NodeId node = workload_->partitions()[0].node;
+  s.add(3, node, 1);
+  s.add(0, node, 1);
+  std::vector<int> out = {99, 98, 97};
+  s.cores_of(node, out);
+  EXPECT_EQ(out, (std::vector<int>{0, 3}));
+  EXPECT_EQ(out, s.cores_of(node));
+  s.cores_of(workload_->partitions()[1].node, out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST_F(SolutionTest, ValidateCatchesStaleCrossbarCache) {
+  MappingSolution s(*workload_, 8);
+  for (const NodePartition& p : workload_->partitions()) {
+    int remaining = p.ags_per_replica();
+    int guard = 0;
+    for (int c = 0; remaining > 0; ++c) {
+      ASSERT_LT(++guard, 100000) << "placement did not converge";
+      if (s.can_add(c % 36, p.node, 1)) {
+        s.add(c % 36, p.node, 1);
+        --remaining;
+      }
+    }
+  }
+  ASSERT_NO_THROW(s.validate());
+  // Re-partition the workload under the solution with half-width crossbars:
+  // every AG now spans more crossbars than the per-core cache recorded.
+  HardwareConfig narrow = hw_;
+  narrow.xbar_cols /= 2;
+  *workload_ = Workload(graph_, narrow);
+  try {
+    s.validate();
+    FAIL() << "validate() accepted a stale crossbar cache";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("crossbar cache is stale"),
+              std::string::npos)
+        << e.what();
   }
 }
 

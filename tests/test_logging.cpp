@@ -47,7 +47,10 @@ TEST_F(LoggingTest, OffSilencesEverything) {
 
 TEST_F(LoggingTest, ConcurrentSetLevelAndLogIsRaceFree) {
   // The regression proper: writers flip the threshold while readers log.
-  // Pre-fix, TSan reports a data race on level_ here.
+  // Pre-fix, TSan reports a data race on level_ here. The threshold starts
+  // at one the flipper installs, so the writer's first lines (which may run
+  // before the flipper's first store) are filtered too.
+  Logger::set_level(LogLevel::kError);
   std::ostringstream captured;
   auto* old = std::cerr.rdbuf(captured.rdbuf());
   Thread flipper([] {
