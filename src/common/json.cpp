@@ -1,125 +1,146 @@
 #include "common/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <deque>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace pimcomp {
 
+namespace {
+
+[[noreturn]] void not_a(const char* what) {
+  throw JsonError(std::string("json value is not ") + what);
+}
+
+}  // namespace
+
 Json Json::array() {
   Json j;
-  j.type_ = Type::kArray;
+  j.value_.emplace<Array>();
   return j;
 }
 
 Json Json::object() {
   Json j;
-  j.type_ = Type::kObject;
+  j.value_.emplace<Object>();
   return j;
 }
 
-void Json::expect(Type t, const char* what) const {
-  if (type_ != t) {
-    throw JsonError(std::string("json value is not ") + what);
-  }
-}
-
 bool Json::as_bool() const {
-  expect(Type::kBool, "a bool");
-  return bool_;
+  if (const bool* b = std::get_if<bool>(&value_)) return *b;
+  not_a("a bool");
 }
 
 double Json::as_number() const {
-  expect(Type::kNumber, "a number");
-  return number_;
+  if (const double* d = std::get_if<double>(&value_)) return *d;
+  not_a("a number");
 }
 
 std::int64_t Json::as_int() const {
-  expect(Type::kNumber, "a number");
-  return static_cast<std::int64_t>(std::llround(number_));
+  return static_cast<std::int64_t>(std::llround(as_number()));
 }
 
 const std::string& Json::as_string() const {
-  expect(Type::kString, "a string");
-  return string_;
+  if (const std::string* s = std::get_if<std::string>(&value_)) return *s;
+  not_a("a string");
 }
 
 std::size_t Json::size() const {
-  if (type_ == Type::kArray) return array_.size();
-  if (type_ == Type::kObject) return object_.size();
+  if (const Array* array = std::get_if<Array>(&value_)) return array->size();
+  if (const Object* object = std::get_if<Object>(&value_)) {
+    return object->size();
+  }
   throw JsonError("json value has no size");
 }
 
 const Json& Json::at(std::size_t index) const {
-  expect(Type::kArray, "an array");
-  if (index >= array_.size()) throw JsonError("json array index out of range");
-  return array_[index];
+  const Array* array = std::get_if<Array>(&value_);
+  if (array == nullptr) not_a("an array");
+  if (index >= array->size()) throw JsonError("json array index out of range");
+  return (*array)[index];
 }
 
 void Json::push_back(Json value) {
-  expect(Type::kArray, "an array");
-  array_.push_back(std::move(value));
+  Array* array = std::get_if<Array>(&value_);
+  if (array == nullptr) not_a("an array");
+  array->push_back(std::move(value));
+}
+
+const Json* Json::find(const std::string& key) const {
+  if (const Object* object = std::get_if<Object>(&value_)) {
+    for (const auto& [k, v] : *object) {
+      if (k == key) return &v;
+    }
+  }
+  return nullptr;
 }
 
 bool Json::contains(const std::string& key) const {
-  if (type_ != Type::kObject) return false;
-  for (const auto& [k, v] : object_) {
-    if (k == key) return true;
-  }
-  return false;
+  return find(key) != nullptr;
 }
 
 const Json& Json::at(const std::string& key) const {
-  expect(Type::kObject, "an object");
-  for (const auto& [k, v] : object_) {
-    if (k == key) return v;
-  }
+  if (!is_object()) not_a("an object");
+  if (const Json* value = find(key)) return *value;
   throw JsonError("missing json key: " + key);
 }
 
 Json& Json::operator[](const std::string& key) {
-  if (type_ == Type::kNull) type_ = Type::kObject;
-  expect(Type::kObject, "an object");
-  for (auto& [k, v] : object_) {
+  if (is_null()) value_.emplace<Object>();
+  Object* object = std::get_if<Object>(&value_);
+  if (object == nullptr) not_a("an object");
+  for (auto& [k, v] : *object) {
     if (k == key) return v;
   }
-  object_.emplace_back(key, Json());
-  return object_.back().second;
+  object->emplace_back(key, Json());
+  return object->back().second;
 }
 
 const std::vector<std::pair<std::string, Json>>& Json::items() const {
-  expect(Type::kObject, "an object");
-  return object_;
+  if (const Object* object = std::get_if<Object>(&value_)) return *object;
+  not_a("an object");
 }
 
 double Json::get(const std::string& key, double fallback) const {
-  return contains(key) ? at(key).as_number() : fallback;
+  const Json* value = find(key);
+  return value != nullptr ? value->as_number() : fallback;
 }
 
 std::int64_t Json::get(const std::string& key, std::int64_t fallback) const {
-  return contains(key) ? at(key).as_int() : fallback;
+  const Json* value = find(key);
+  return value != nullptr ? value->as_int() : fallback;
 }
 
 int Json::get(const std::string& key, int fallback) const {
-  return contains(key) ? static_cast<int>(at(key).as_int()) : fallback;
+  const Json* value = find(key);
+  return value != nullptr ? static_cast<int>(value->as_int()) : fallback;
 }
 
 std::string Json::get(const std::string& key,
                       const std::string& fallback) const {
-  return contains(key) ? at(key).as_string() : fallback;
+  const Json* value = find(key);
+  return value != nullptr ? value->as_string() : fallback;
 }
 
 bool Json::get(const std::string& key, bool fallback) const {
-  return contains(key) ? at(key).as_bool() : fallback;
+  const Json* value = find(key);
+  return value != nullptr ? value->as_bool() : fallback;
 }
 
 namespace {
 
 void escape_string(const std::string& s, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (char c : s) {
+  std::size_t run = 0;  // start of the pending run of bytes copied verbatim
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -127,80 +148,80 @@ void escape_string(const std::string& s, std::string& out) {
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xF]);
     }
   }
+  out.append(s, run, std::string::npos);
   out.push_back('"');
 }
 
+// Integral values below 9e15 print as integers; everything else prints
+// exactly as printf's "%.17g" would (std::to_chars's general format at a
+// given precision is specified to match it, inf and nan included).
 void format_number(double d, std::string& out) {
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(std::llround(d)));
-    out += buf;
-  } else {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
-  }
+  char buf[32];
+  const std::to_chars_result result =
+      std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.0e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d))
+          : std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::general, 17);
+  out.append(buf, result.ptr);
+}
+
+void newline(std::string& out, int indent, int depth) {
+  if (indent < 0) return;
+  out.push_back('\n');
+  out.append(static_cast<std::size_t>(indent * depth), ' ');
 }
 
 }  // namespace
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent >= 0 ? std::string(static_cast<std::size_t>(indent * (depth + 1)), ' ')
-                  : std::string();
-  const std::string closing_pad =
-      indent >= 0 ? std::string(static_cast<std::size_t>(indent * depth), ' ')
-                  : std::string();
-  const char* nl = indent >= 0 ? "\n" : "";
-  switch (type_) {
+  switch (type()) {
     case Type::kNull: out += "null"; break;
-    case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: format_number(number_, out); break;
-    case Type::kString: escape_string(string_, out); break;
+    case Type::kBool:
+      out += *std::get_if<bool>(&value_) ? "true" : "false";
+      break;
+    case Type::kNumber:
+      format_number(*std::get_if<double>(&value_), out);
+      break;
+    case Type::kString:
+      escape_string(*std::get_if<std::string>(&value_), out);
+      break;
     case Type::kArray: {
-      if (array_.empty()) {
+      const Array& array = *std::get_if<Array>(&value_);
+      if (array.empty()) {
         out += "[]";
         break;
       }
-      out += "[";
-      out += nl;
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        out += pad;
-        array_[i].dump_to(out, indent, depth + 1);
-        if (i + 1 < array_.size()) out += ",";
-        out += nl;
+      out.push_back('[');
+      for (std::size_t i = 0; i < array.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        newline(out, indent, depth + 1);
+        array[i].dump_to(out, indent, depth + 1);
       }
-      out += closing_pad;
-      out += "]";
+      newline(out, indent, depth);
+      out.push_back(']');
       break;
     }
     case Type::kObject: {
-      if (object_.empty()) {
+      const Object& object = *std::get_if<Object>(&value_);
+      if (object.empty()) {
         out += "{}";
         break;
       }
-      out += "{";
-      out += nl;
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        out += pad;
-        escape_string(object_[i].first, out);
+      out.push_back('{');
+      for (std::size_t i = 0; i < object.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        newline(out, indent, depth + 1);
+        escape_string(object[i].first, out);
         out += indent >= 0 ? ": " : ":";
-        object_[i].second.dump_to(out, indent, depth + 1);
-        if (i + 1 < object_.size()) out += ",";
-        out += nl;
+        object[i].second.dump_to(out, indent, depth + 1);
       }
-      out += closing_pad;
-      out += "}";
+      newline(out, indent, depth);
+      out.push_back('}');
       break;
     }
   }
@@ -212,24 +233,30 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-namespace {
-
-class Parser {
+/// Recursive-descent parser writing each value straight into its final
+/// slot. The elements of an open array or object collect in a scratch
+/// buffer owned by its nesting depth (reused by every later container at
+/// that depth) and move into an exactly-sized vector when it closes; the
+/// buffers live in deques so growing a deeper level never moves a
+/// shallower level's elements out from under the frame filling them.
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text)
+      : begin_(text.data()), end_(text.data() + text.size()), p_(begin_) {}
 
   Json parse_document() {
-    Json value = parse_value();
+    Json value;
+    parse_value(value, 0);
     skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
+    if (p_ != end_) fail("trailing characters after document");
     return value;
   }
 
  private:
-  [[noreturn]] void fail(const std::string& why) {
+  [[noreturn]] void fail(const std::string& why) const {
     std::size_t line = 1, col = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
+    for (const char* c = begin_; c < p_; ++c) {
+      if (*c == '\n') {
         ++line;
         col = 1;
       } else {
@@ -242,173 +269,251 @@ class Parser {
     throw JsonError(oss.str());
   }
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+  // The C locale's isspace set, without the locale lookup.
+  static bool is_space(char c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+           c == '\f';
   }
 
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  void skip_ws() {
+    while (p_ != end_ && is_space(*p_)) ++p_;
+  }
+
+  char peek() const {
+    if (p_ == end_) fail("unexpected end of input");
+    return *p_;
   }
 
   char take() {
-    char c = peek();
-    ++pos_;
+    const char c = peek();
+    ++p_;
     return c;
   }
 
   void expect_char(char c) {
     if (take() != c) {
-      --pos_;
+      --p_;
       fail(std::string("expected '") + c + "'");
     }
   }
 
-  Json parse_value() {
+  void parse_value(Json& out, int depth) {
     skip_ws();
-    char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't': expect_word("true"); return Json(true);
-      case 'f': expect_word("false"); return Json(false);
-      case 'n': expect_word("null"); return Json();
-      default: return parse_number();
+    switch (peek()) {
+      case '{': parse_object(out, depth + 1); break;
+      case '[': parse_array(out, depth + 1); break;
+      case '"': parse_string(out.value_.emplace<std::string>()); break;
+      case 't': expect_word("true"); out.value_.emplace<bool>(true); break;
+      case 'f': expect_word("false"); out.value_.emplace<bool>(false); break;
+      case 'n':
+        expect_word("null");
+        out.value_.emplace<std::monostate>();
+        break;
+      default: out.value_.emplace<double>(parse_number());
     }
   }
 
   void expect_word(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) fail("invalid literal");
-      ++pos_;
+    for (const char* w = word; *w != '\0'; ++w) {
+      if (p_ == end_ || *p_ != *w) fail("invalid literal");
+      ++p_;
     }
   }
 
-  std::string parse_string() {
+  void parse_string(std::string& out) {
     expect_char('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = take();
-      if (c == '"') break;
-      if (c == '\\') {
-        char esc = take();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = take();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad unicode escape");
-            }
-            // Encode as UTF-8 (basic multilingual plane only).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default: fail("bad escape character");
-        }
-      } else {
-        out.push_back(c);
+    for (;;) {
+      const char* run = p_;
+      while (p_ != end_ && *p_ != '"' && *p_ != '\\') ++p_;
+      out.append(run, p_);
+      if (p_ == end_) fail("unterminated string");
+      if (*p_++ == '"') return;
+      const char esc = take();
+      switch (esc) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'n': out.push_back('\n'); break;
+        case 't': out.push_back('\t'); break;
+        case 'r': out.push_back('\r'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'u': append_unicode_escape(out); break;
+        default: fail("bad escape character");
       }
     }
-    return out;
   }
 
-  Json parse_number() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+  void append_unicode_escape(std::string& out) {
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = take();
+      code <<= 4;
+      if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
+      else fail("bad unicode escape");
     }
-    if (pos_ == start) fail("invalid number");
-    try {
-      return Json(std::stod(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
+    // Encode as UTF-8 (basic multilingual plane only).
+    if (code < 0x80) {
+      out.push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+  }
+
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — and the
+  // grammar must end the token: "1-2", "01", "1.5e" and "1e5.3" throw.
+  double parse_number() {
+    const char* start = p_;
+    const auto digits = [this] {
+      const char* first = p_;
+      while (p_ != end_ && is_digit(*p_)) ++p_;
+      return p_ != first;
+    };
+    const bool negative = p_ != end_ && *p_ == '-';
+    if (negative) ++p_;
+    const char* integer = p_;
+    bool ok = true;
+    if (p_ != end_ && *p_ == '0') {
+      ++p_;
+    } else {
+      ok = digits();
+    }
+    const char* integer_end = p_;
+    if (ok && p_ != end_ && *p_ == '.') {
+      ++p_;
+      ok = digits();
+    }
+    if (ok && p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
+      ++p_;
+      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+      ok = digits();
+    }
+    if (ok && p_ != end_ &&
+        (is_digit(*p_) || *p_ == '.' || *p_ == 'e' || *p_ == 'E' ||
+         *p_ == '+' || *p_ == '-')) {
+      ok = false;
+    }
+    if (ok && integer_end == p_ && p_ - integer <= 15) {
+      // Plain integers (nearly every number we emit) below 10^15 are exact
+      // in a double: accumulate them directly. -0 stays -0.0.
+      std::int64_t magnitude = 0;
+      for (const char* d = integer; d != p_; ++d) {
+        magnitude = magnitude * 10 + (*d - '0');
+      }
+      const auto value = static_cast<double>(magnitude);
+      return negative ? -value : value;
+    }
+    double value = 0.0;
+    // Out-of-range magnitudes (1e400, or 1e-400 below the smallest
+    // subnormal) throw; subnormals themselves parse.
+    if (ok) ok = std::from_chars(start, p_, value).ec == std::errc();
+    if (!ok) {
+      p_ = start;
       fail("invalid number");
     }
+    return value;
   }
 
-  Json parse_array() {
+  void enter(int depth) {
+    if (depth > Json::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+           " levels");
+    }
+  }
+
+  // The scratch buffer of nesting level `depth` (1-based).
+  template <typename Buffer>
+  static Buffer& level(std::deque<Buffer>& buffers, int depth) {
+    while (buffers.size() < static_cast<std::size_t>(depth)) {
+      buffers.emplace_back();
+    }
+    return buffers[static_cast<std::size_t>(depth) - 1];
+  }
+
+  void parse_array(Json& out, int depth) {
+    enter(depth);
     expect_char('[');
-    Json arr = Json::array();
     skip_ws();
     if (peek() == ']') {
-      ++pos_;
-      return arr;
+      ++p_;
+      out.value_.emplace<Json::Array>();
+      return;
     }
-    while (true) {
-      arr.push_back(parse_value());
+    Json::Array& elements = level(array_scratch_, depth);
+    for (;;) {
+      parse_value(elements.emplace_back(), depth);
       skip_ws();
-      char c = take();
+      const char c = take();
       if (c == ']') break;
       if (c != ',') {
-        --pos_;
+        --p_;
         fail("expected ',' or ']'");
       }
     }
-    return arr;
+    out.value_.emplace<Json::Array>(std::make_move_iterator(elements.begin()),
+                                    std::make_move_iterator(elements.end()));
+    elements.clear();
   }
 
-  Json parse_object() {
+  void parse_object(Json& out, int depth) {
+    enter(depth);
     expect_char('{');
-    Json obj = Json::object();
     skip_ws();
     if (peek() == '}') {
-      ++pos_;
-      return obj;
+      ++p_;
+      out.value_.emplace<Json::Object>();
+      return;
     }
-    while (true) {
+    Json::Object& members = level(object_scratch_, depth);
+    std::string key;
+    for (;;) {
       skip_ws();
-      std::string key = parse_string();
+      key.clear();
+      parse_string(key);
       skip_ws();
       expect_char(':');
-      obj[key] = parse_value();
+      // A repeated key overwrites the earlier value in its first position,
+      // as operator[] does.
+      Json* slot = nullptr;
+      for (auto& [k, v] : members) {
+        if (k == key) {
+          slot = &v;
+          break;
+        }
+      }
+      if (slot == nullptr) slot = &members.emplace_back(key, Json()).second;
+      parse_value(*slot, depth);
       skip_ws();
-      char c = take();
+      const char c = take();
       if (c == '}') break;
       if (c != ',') {
-        --pos_;
+        --p_;
         fail("expected ',' or '}'");
       }
     }
-    return obj;
+    out.value_.emplace<Json::Object>(std::make_move_iterator(members.begin()),
+                                     std::make_move_iterator(members.end()));
+    members.clear();
   }
 
-  const std::string& text_;
-  std::size_t pos_ = 0;
+  const char* begin_;
+  const char* end_;
+  const char* p_;
+  std::deque<Json::Array> array_scratch_;    ///< [depth - 1]: open elements
+  std::deque<Json::Object> object_scratch_;  ///< [depth - 1]: open members
 };
 
-}  // namespace
-
 Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+  return JsonParser(text).parse_document();
 }
 
 Json json_from_file(const std::string& path) {

@@ -5,6 +5,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,30 +22,39 @@ class JsonError : public Error {
 /// Minimal JSON value used for the graph serialization format and machine-
 /// readable reports. Supports null / bool / number / string / array / object.
 /// Objects preserve key order for stable, diffable output.
+///
+/// A value is one std::variant whose index is its Type, so a node costs one
+/// string's worth of storage plus a tag. Moving a Json moves its subtree;
+/// copying deep-copies it, so code that hands a large document on (an
+/// artifact into a wire frame) moves it.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Json() : type_(Type::kNull) {}
-  Json(bool b) : type_(Type::kBool), bool_(b) {}               // NOLINT
-  Json(double d) : type_(Type::kNumber), number_(d) {}         // NOLINT
-  Json(int i) : type_(Type::kNumber), number_(i) {}            // NOLINT
-  Json(std::int64_t i)                                          // NOLINT
-      : type_(Type::kNumber), number_(static_cast<double>(i)) {}
-  Json(const char* s) : type_(Type::kString), string_(s) {}    // NOLINT
-  Json(std::string s) : type_(Type::kString), string_(std::move(s)) {} // NOLINT
+  /// Deepest array/object nesting parse() accepts; deeper input throws
+  /// JsonError instead of exhausting the stack.
+  static constexpr int kMaxDepth = 512;
+
+  Json() = default;
+  Json(bool b) : value_(std::in_place_index<1>, b) {}           // NOLINT
+  Json(double d) : value_(std::in_place_index<2>, d) {}         // NOLINT
+  Json(int i) : Json(static_cast<double>(i)) {}                 // NOLINT
+  Json(std::int64_t i) : Json(static_cast<double>(i)) {}        // NOLINT
+  Json(const char* s) : value_(std::in_place_index<3>, s) {}    // NOLINT
+  Json(std::string s)                                           // NOLINT
+      : value_(std::in_place_index<3>, std::move(s)) {}
 
   /// Creates an empty array / object.
   static Json array();
   static Json object();
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
   /// Typed accessors; throw JsonError on type mismatch.
   bool as_bool() const;
@@ -72,19 +83,21 @@ class Json {
   /// Serializes; `indent < 0` emits compact single-line output.
   std::string dump(int indent = 2) const;
 
-  /// Parses a complete JSON document (trailing whitespace allowed).
+  /// Parses a complete JSON document (trailing whitespace allowed). Numbers
+  /// follow RFC 8259's grammar exactly; nesting deeper than kMaxDepth
+  /// throws JsonError.
   static Json parse(const std::string& text);
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
-  void expect(Type t, const char* what) const;
+  friend class JsonParser;
+  using Array = std::vector<Json>;
+  using Object = std::vector<std::pair<std::string, Json>>;
 
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> array_;
-  std::vector<std::pair<std::string, Json>> object_;
+  void dump_to(std::string& out, int indent, int depth) const;
+  const Json* find(const std::string& key) const;
+
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      value_;
 };
 
 /// Reads a whole file into a Json value (throws Error on I/O failure).

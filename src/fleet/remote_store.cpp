@@ -109,7 +109,7 @@ std::optional<CacheHit> RemoteStore::load(std::uint64_t key) {
     // Same envelope check DiskStore applies to its own files: a peer's
     // answer earns no extra trust for having arrived over a socket. The
     // caller then revalidates content fingerprints before adopting it.
-    Json artifact = reply->at("artifact");
+    Json artifact = std::move((*reply)["artifact"]);
     const bool valid = artifact.is_object() &&
                        artifact.get("schema", -1) == kCacheSchemaVersion &&
                        artifact.get("key", std::string()) == cache_key_hex(key);
@@ -137,7 +137,8 @@ const char* RemoteStore::store(std::uint64_t key, const CacheEntry& entry) {
     request.key = key;
     request.artifact = entry.artifact;
     request.auth = config_.auth_token;
-    std::optional<Json> reply = roundtrip(*peer, to_json(request), id);
+    std::optional<Json> reply =
+        roundtrip(*peer, to_json(std::move(request)), id);
     if (reply.has_value() && reply->get("stored", false)) any_stored = true;
   }
   if (!any_stored) return nullptr;

@@ -420,13 +420,13 @@ Json to_json(const CacheGetRequest& request) {
   return json;
 }
 
-Json to_json(const CachePutRequest& request) {
+Json to_json(CachePutRequest request) {
   Json json = Json::object();
   json["type"] = "cache_put";
   json["version"] = kProtocolVersion;
   json["id"] = request.id;
   json["key"] = cache_key_hex(request.key);
-  json["artifact"] = request.artifact;
+  json["artifact"] = std::move(request.artifact);
   if (!request.auth.empty()) json["auth"] = request.auth;
   return json;
 }
@@ -451,7 +451,7 @@ CacheGetRequest cache_get_request_from_json(const Json& json) {
   return request;
 }
 
-CachePutRequest cache_put_request_from_json(const Json& json) {
+CachePutRequest cache_put_request_from_json(Json json) {
   require_supported_version(json);
   require_known_keys(json, "cache_put",
                      {"type", "version", "id", "key", "artifact", "auth"});
@@ -461,7 +461,7 @@ CachePutRequest cache_put_request_from_json(const Json& json) {
   if (!json.contains("artifact") || !json.at("artifact").is_object()) {
     throw ServeError("cache_put needs an 'artifact' object");
   }
-  request.artifact = json.at("artifact");
+  request.artifact = std::move(json["artifact"]);
   request.auth = json.get("auth", std::string());
   return request;
 }
@@ -491,7 +491,7 @@ Json to_json(const EventMessage& message) {
   return framed;
 }
 
-Json to_json(const OutcomeMessage& message) {
+Json to_json(OutcomeMessage message) {
   Json json = Json::object();
   json["type"] = "outcome";
   json["id"] = message.id;
@@ -499,8 +499,10 @@ Json to_json(const OutcomeMessage& message) {
   json["index"] = message.index;
   json["ok"] = message.ok;
   if (message.ok) {
-    json["compile"] = message.compile;
-    if (!message.simulation.is_null()) json["simulation"] = message.simulation;
+    json["compile"] = std::move(message.compile);
+    if (!message.simulation.is_null()) {
+      json["simulation"] = std::move(message.simulation);
+    }
   } else {
     json["error"] = message.error;
     if (!message.error_kind.empty()) json["error_kind"] = message.error_kind;
@@ -508,13 +510,13 @@ Json to_json(const OutcomeMessage& message) {
   return json;
 }
 
-Json to_json(const ArtifactMessage& message) {
+Json to_json(ArtifactMessage message) {
   Json json = Json::object();
   json["type"] = "artifact";
   json["id"] = message.id;
-  json["scenario"] = message.label;
+  json["scenario"] = std::move(message.label);
   json["index"] = message.index;
-  json["artifact"] = message.artifact;
+  json["artifact"] = std::move(message.artifact);
   return json;
 }
 
@@ -551,7 +553,7 @@ Json to_json(const PongMessage& message) {
   return json;
 }
 
-Json to_json(const CacheResultMessage& message) {
+Json to_json(CacheResultMessage message) {
   Json json = Json::object();
   json["type"] = "cache_result";
   json["id"] = message.id;
@@ -559,20 +561,20 @@ Json to_json(const CacheResultMessage& message) {
   json["found"] = message.found;
   json["stored"] = message.stored;
   if (message.found && !message.artifact.is_null()) {
-    json["artifact"] = message.artifact;
+    json["artifact"] = std::move(message.artifact);
   }
   return json;
 }
 
-Json to_json(const StatsMessage& message) {
+Json to_json(StatsMessage message) {
   Json json = Json::object();
   json["type"] = "stats";
   json["id"] = message.id;
-  json["stats"] = message.stats;
+  json["stats"] = std::move(message.stats);
   return json;
 }
 
-ServerMessage server_message_from_json(const Json& json) {
+ServerMessage server_message_from_json(Json json) {
   const std::string type = json.get("type", std::string());
   if (type == "event") {
     EventMessage message;
@@ -587,9 +589,11 @@ ServerMessage server_message_from_json(const Json& json) {
     message.index = json.get("index", -1);
     message.ok = json.get("ok", false);
     if (message.ok) {
-      if (json.contains("compile")) message.compile = json.at("compile");
+      if (json.contains("compile")) {
+        message.compile = std::move(json["compile"]);
+      }
       if (json.contains("simulation")) {
-        message.simulation = json.at("simulation");
+        message.simulation = std::move(json["simulation"]);
       }
     } else {
       message.error = json.get("error", std::string("unknown error"));
@@ -602,7 +606,9 @@ ServerMessage server_message_from_json(const Json& json) {
     message.id = require_id(json);
     message.label = json.get("scenario", std::string());
     message.index = json.get("index", -1);
-    if (json.contains("artifact")) message.artifact = json.at("artifact");
+    if (json.contains("artifact")) {
+      message.artifact = std::move(json["artifact"]);
+    }
     return message;
   }
   if (type == "done") {
@@ -634,13 +640,15 @@ ServerMessage server_message_from_json(const Json& json) {
         cache_key_from_hex(json.get("key", std::string())).value_or(0);
     message.found = json.get("found", false);
     message.stored = json.get("stored", false);
-    if (json.contains("artifact")) message.artifact = json.at("artifact");
+    if (json.contains("artifact")) {
+      message.artifact = std::move(json["artifact"]);
+    }
     return message;
   }
   if (type == "stats") {
     StatsMessage message;
     message.id = require_id(json);
-    if (json.contains("stats")) message.stats = json.at("stats");
+    if (json.contains("stats")) message.stats = std::move(json["stats"]);
     return message;
   }
   throw ServeError("unknown server message type '" + type + "'");

@@ -156,12 +156,16 @@ struct StatsRequest {
 };
 
 Json to_json(const CacheGetRequest& request);
-Json to_json(const CachePutRequest& request);
+/// Takes the request by value and moves its artifact into the frame: pass
+/// a temporary (or std::move) to build the frame without a DOM copy.
+Json to_json(CachePutRequest request);
 Json to_json(const StatsRequest& request);
 /// Throw ServeError on malformed frames (bad key, missing artifact,
 /// unsupported version).
 CacheGetRequest cache_get_request_from_json(const Json& json);
-CachePutRequest cache_put_request_from_json(const Json& json);
+/// By value, like server_message_from_json: the artifact moves out of a
+/// parsed frame the caller hands over.
+CachePutRequest cache_put_request_from_json(Json json);
 StatsRequest stats_request_from_json(const Json& json);
 
 // ---------------------------------------------------------------------------
@@ -251,13 +255,16 @@ struct StatsMessage {
 };
 
 Json to_json(const EventMessage& message);
-Json to_json(const OutcomeMessage& message);
-Json to_json(const ArtifactMessage& message);
+/// Messages that carry a document (compile report, simulation, artifact,
+/// stats) are taken by value and moved into the frame: pass a temporary
+/// (or std::move) so a megabyte-sized artifact is never deep-copied.
+Json to_json(OutcomeMessage message);
+Json to_json(ArtifactMessage message);
 Json to_json(const DoneMessage& message);
 Json to_json(const ErrorMessage& message);
 Json to_json(const PongMessage& message);
-Json to_json(const CacheResultMessage& message);
-Json to_json(const StatsMessage& message);
+Json to_json(CacheResultMessage message);
+Json to_json(StatsMessage message);
 
 /// Any server-to-client message, for client-side dispatch.
 using ServerMessage = std::variant<EventMessage, OutcomeMessage,
@@ -266,7 +273,9 @@ using ServerMessage = std::variant<EventMessage, OutcomeMessage,
                                    StatsMessage>;
 
 /// Parses one server line; throws ServeError on unknown/missing "type".
-ServerMessage server_message_from_json(const Json& json);
+/// Takes the parsed frame by value and moves its documents (artifact,
+/// compile, simulation, stats) out of it: pass Json::parse(line) directly.
+ServerMessage server_message_from_json(Json json);
 
 /// Total compile seconds of a wire `compile` document (the sum of its
 /// "stage_times" rows); 0.0 when the document carries none. Shared by every

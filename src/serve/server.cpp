@@ -583,6 +583,9 @@ void CompileServer::dispatch_line(
   }
 
   const std::string type = json.get("type", std::string("compile"));
+  // Read up front: a cache_put hands the whole frame over (its artifact
+  // moves out), and an error reply still has to echo the id.
+  const std::int64_t id = message_id(json);
   try {
     if (!options_.auth_token.empty() &&
         !constant_time_equal(json.get("auth", std::string()),
@@ -591,28 +594,27 @@ void CompileServer::dispatch_line(
       // constant-time compare — neither the timing nor the message reveals
       // how close the presented token was.
       enqueue_frame(*connection,
-                    to_json(ErrorMessage{message_id(json),
+                    to_json(ErrorMessage{id,
                                          "unauthorized: missing or bad auth "
                                          "token"}),
                     /*advisory=*/false);
       return;
     }
     if (type == "ping") {
-      enqueue_frame(*connection, to_json(PongMessage{message_id(json)}),
+      enqueue_frame(*connection, to_json(PongMessage{id}),
                     /*advisory=*/false);
     } else if (type == "compile") {
       handle_compile(connection, json);
     } else if (type == "cache_get") {
       handle_cache_get(connection, json);
     } else if (type == "cache_put") {
-      handle_cache_put(connection, json);
+      handle_cache_put(connection, std::move(json));
     } else if (type == "stats") {
       handle_stats(connection, json);
     } else {
       enqueue_frame(*connection,
-                    to_json(ErrorMessage{message_id(json),
-                                         "unknown request type '" + type +
-                                             "'"}),
+                    to_json(ErrorMessage{id, "unknown request type '" +
+                                                 type + "'"}),
                     /*advisory=*/false);
     }
   } catch (const std::exception& e) {
@@ -621,7 +623,7 @@ void CompileServer::dispatch_line(
     // request-level error. (Replies never block or throw — delivery
     // problems surface through the outbound pump's broken flag.)
     enqueue_frame(*connection,
-                  to_json(ErrorMessage{message_id(json), e.what()}),
+                  to_json(ErrorMessage{id, e.what()}),
                   /*advisory=*/false);
   }
 }
@@ -863,7 +865,8 @@ void CompileServer::flush_outcomes(
       if (!connection.broken.load()) {
         const std::string label = message->label;
         const int index = message->index;
-        enqueue_frame(connection, to_json(*message), /*advisory=*/false);
+        enqueue_frame(connection, to_json(std::move(*message)),
+                      /*advisory=*/false);
         if (artifact.has_value()) {
           enqueue_frame(connection,
                         to_json(ArtifactMessage{request->id, label, index,
@@ -944,24 +947,24 @@ void CompileServer::handle_cache_get(
       reply.artifact = std::move(hit->entry.artifact);
     }
   }
-  enqueue_frame(*connection, to_json(reply), /*advisory=*/false);
+  enqueue_frame(*connection, to_json(std::move(reply)), /*advisory=*/false);
 }
 
 void CompileServer::handle_cache_put(
-    const std::shared_ptr<Connection>& connection, const Json& json) {
-  const CachePutRequest request = cache_put_request_from_json(json);
+    const std::shared_ptr<Connection>& connection, Json json) {
+  CachePutRequest request = cache_put_request_from_json(std::move(json));
   CacheResultMessage reply;
   reply.id = request.id;
   reply.key = request.key;
   if (peer_store_ != nullptr) {
     CacheEntry entry;
-    entry.artifact = request.artifact;
+    entry.artifact = std::move(request.artifact);
     // DiskStore stamps the schema/key envelope itself and applies the same
     // first-writer-wins rule as a local store; `stored` is false when the
     // key already existed or the artifact was refused.
     reply.stored = peer_store_->store(request.key, entry) != nullptr;
   }
-  enqueue_frame(*connection, to_json(reply), /*advisory=*/false);
+  enqueue_frame(*connection, to_json(std::move(reply)), /*advisory=*/false);
 }
 
 void CompileServer::handle_stats(

@@ -207,7 +207,7 @@ class CompileServer {
   void handle_cache_get(const std::shared_ptr<Connection>& connection,
                         const Json& json);
   void handle_cache_put(const std::shared_ptr<Connection>& connection,
-                        const Json& json);
+                        Json json);
   void handle_stats(const std::shared_ptr<Connection>& connection,
                     const Json& json);
   /// The stats payload: daemon counters plus per-tier cache counters

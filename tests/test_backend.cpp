@@ -15,6 +15,7 @@
 
 #include "backend/backend.hpp"
 #include "backend/instruction_stream.hpp"
+#include "cache/artifact.hpp"
 #include "cache/cache_store.hpp"
 #include "common/error.hpp"
 #include "core/session.hpp"
@@ -293,6 +294,34 @@ TEST(InstructionStream, ContentFingerprintGoldensArePinned) {
     EXPECT_EQ(cache_key_hex(result.stream->content_fingerprint()),
               c.fingerprint);
   }
+}
+
+TEST(InstructionStream, PumaArtifactBytesArePinned) {
+  // The JSON codec's exact output on a real artifact. The PUMA mapper keeps
+  // the GA out of it, so only lowering and the codec decide these bytes: a
+  // drift here with the mapping unchanged means the number or string
+  // formatting changed, which no cached artifact or peer can tolerate.
+  Graph graph = zoo::build("squeezenet", 32);
+  graph.finalize();
+  const HardwareConfig hw = fitted(graph);
+  CompileOptions options = tiny_options("isa-json");
+  options.mapper = "puma";
+  const std::uint64_t workload_fp =
+      combine_fingerprints(fingerprint(graph), fingerprint(hw));
+  const std::uint64_t mapping_key =
+      combine_fingerprints(workload_fp, fingerprint(options));
+  const CompileResult result = Compiler(std::move(graph), hw).compile(options);
+  ASSERT_NE(result.stream, nullptr);
+  EXPECT_EQ(cache_key_hex(result.stream->content_fingerprint()),
+            "25d4b884b95149f4");
+
+  const std::string artifact =
+      compile_result_to_artifact(result, workload_fp, mapping_key).dump(-1);
+  std::uint64_t fnv1a = 0xcbf29ce484222325ULL;
+  for (const char c : artifact) {
+    fnv1a = (fnv1a ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(cache_key_hex(fnv1a), "10954a50d993c661");
 }
 
 // ---------------------------------------------------------------------------

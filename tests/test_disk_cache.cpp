@@ -456,6 +456,17 @@ TEST(DiskCache, EvictionRacingConcurrentLoadMtimeBumpKeepsHotKeyAndSaneState) {
     entry.artifact = fixed_size_artifact(n);
     store.store(static_cast<std::uint64_t>(n), entry);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Hold the premise on a loaded host, where the loader thread can stall
+    // for longer than several stores take: a load that *started* after
+    // this store (the second completion from here) has bumped the hot
+    // mtime past this cold artifact's before the next eviction pass runs.
+    const std::uint64_t seen = hot_hits.load();
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (hot_hits.load() < seen + 2 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
   }
   stop.store(true);
   loader.join();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <limits>
+#include <string>
+
 namespace pimcomp {
 namespace {
 
@@ -119,10 +123,178 @@ TEST(JsonDump, CompactAndPretty) {
   EXPECT_NE(pretty.find("\n"), std::string::npos);
 }
 
+// One document that exercises every formatting rule: integers below 9e15,
+// 17 significant digits otherwise, -0.0, every escape, control bytes and
+// empty containers. The expected bytes are what caches, peers and
+// fingerprints already hold: never edit them to fit a change.
+Json golden_document() {
+  Json doc = Json::object();
+  doc["int"] = 42;
+  doc["negative"] = -7;
+  doc["two_pow_53"] = std::int64_t{1} << 53;
+  doc["below_9e15"] = 9e15 - 1;
+  doc["at_9e15"] = 9e15;
+  doc["above_9e15"] = 9e15 + 1;
+  doc["tenth"] = 0.1;
+  doc["tiny"] = -2.5e-7;
+  doc["huge"] = 1e300;
+  doc["negative_zero"] = -0.0;
+  doc["escapes"] = "quote\" backslash\\ newline\n tab\t return\r slash/";
+  doc["control"] = std::string("bell\x07") + '\0' + "unit\x1f";
+  doc["empty_array"] = Json::array();
+  doc["empty_object"] = Json::object();
+  Json nested = Json::array();
+  nested.push_back(true);
+  nested.push_back(false);
+  nested.push_back(Json());
+  Json inner = Json::object();
+  inner["k"] = Json::array();
+  nested.push_back(std::move(inner));
+  doc["nested"] = std::move(nested);
+  return doc;
+}
+
+TEST(JsonDump, GoldenBytes) {
+  const Json doc = golden_document();
+  EXPECT_EQ(doc.dump(-1),
+            R"({"int":42,"negative":-7,"two_pow_53":9007199254740992,"below_9e15":8999999999999999,"at_9e15":9000000000000000,"above_9e15":9000000000000001,"tenth":0.10000000000000001,"tiny":-2.4999999999999999e-07,"huge":1.0000000000000001e+300,"negative_zero":0,"escapes":"quote\" backslash\\ newline\n tab\t return\r slash/","control":"bell\u0007\u0000unit\u001f","empty_array":[],"empty_object":{},"nested":[true,false,null,{"k":[]}]})");
+  EXPECT_EQ(doc.dump(2), R"({
+  "int": 42,
+  "negative": -7,
+  "two_pow_53": 9007199254740992,
+  "below_9e15": 8999999999999999,
+  "at_9e15": 9000000000000000,
+  "above_9e15": 9000000000000001,
+  "tenth": 0.10000000000000001,
+  "tiny": -2.4999999999999999e-07,
+  "huge": 1.0000000000000001e+300,
+  "negative_zero": 0,
+  "escapes": "quote\" backslash\\ newline\n tab\t return\r slash/",
+  "control": "bell\u0007\u0000unit\u001f",
+  "empty_array": [],
+  "empty_object": {},
+  "nested": [
+    true,
+    false,
+    null,
+    {
+      "k": []
+    }
+  ]
+})");
+  // Indent 0 (newlines, no padding) is what graph fingerprints hash.
+  EXPECT_EQ(doc.dump(0), R"({
+"int": 42,
+"negative": -7,
+"two_pow_53": 9007199254740992,
+"below_9e15": 8999999999999999,
+"at_9e15": 9000000000000000,
+"above_9e15": 9000000000000001,
+"tenth": 0.10000000000000001,
+"tiny": -2.4999999999999999e-07,
+"huge": 1.0000000000000001e+300,
+"negative_zero": 0,
+"escapes": "quote\" backslash\\ newline\n tab\t return\r slash/",
+"control": "bell\u0007\u0000unit\u001f",
+"empty_array": [],
+"empty_object": {},
+"nested": [
+true,
+false,
+null,
+{
+"k": []
+}
+]
+})");
+  // The bytes parse back to the same bytes.
+  EXPECT_EQ(Json::parse(doc.dump(-1)).dump(-1), doc.dump(-1));
+  EXPECT_EQ(Json::parse(doc.dump(2)).dump(-1), doc.dump(-1));
+}
+
 TEST(JsonDump, IntegersStayIntegral) {
   EXPECT_EQ(Json(1000000).dump(-1), "1000000");
   EXPECT_EQ(Json(static_cast<std::int64_t>(1) << 40).dump(-1),
             "1099511627776");
+}
+
+TEST(JsonParse, NestingCapThrowsInsteadOfOverflowingTheStack) {
+  const auto arrays = [](int depth) {
+    const auto n = static_cast<std::size_t>(depth);
+    return std::string(n, '[') + std::string(n, ']');
+  };
+  const auto objects = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += "{\"k\":";
+    return text + "0" + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  EXPECT_NO_THROW(Json::parse(arrays(Json::kMaxDepth)));
+  EXPECT_NO_THROW(Json::parse(objects(Json::kMaxDepth)));
+  EXPECT_THROW(Json::parse(arrays(Json::kMaxDepth + 1)), JsonError);
+  EXPECT_THROW(Json::parse(objects(Json::kMaxDepth + 1)), JsonError);
+  // Far past the cap, and unterminated: the cap trips before the end of
+  // input, so a hostile line costs one bounded descent.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), JsonError);
+  EXPECT_THROW(Json::parse(arrays(100000)), JsonError);
+  // Depth counts arrays and objects together.
+  const auto mixed = [](int pairs) {
+    std::string text;
+    for (int i = 0; i < pairs; ++i) text += "[{\"k\":";
+    text += "0";
+    for (int i = 0; i < pairs; ++i) text += "}]";
+    return text;
+  };
+  EXPECT_NO_THROW(Json::parse(mixed(Json::kMaxDepth / 2)));
+  EXPECT_THROW(Json::parse(mixed(Json::kMaxDepth / 2 + 1)), JsonError);
+}
+
+TEST(JsonParse, NumberTokenMustBeConsumedEntirely) {
+  for (const char* bad :
+       {"[1-2, 3]", "1.5e", "1e5.3", "1e", "1e+", "-", "--1", "01", "-01",
+        ".5", "5.", "1..2", "+1", "1.2.3", "0x10", "1e5e5", "[1 2]",
+        "-inf", "inf", "nan", "1E"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(Json::parse(bad), JsonError);
+  }
+  EXPECT_EQ(Json::parse("0").as_number(), 0.0);
+  EXPECT_EQ(Json::parse("-0").dump(-1), "0");
+  EXPECT_EQ(Json::parse("[1,-2,3]").dump(-1), "[1,-2,3]");
+  EXPECT_DOUBLE_EQ(Json::parse("1E5").as_number(), 1e5);
+  EXPECT_DOUBLE_EQ(Json::parse("1e+5").as_number(), 1e5);
+  EXPECT_DOUBLE_EQ(Json::parse("-0.25e-2").as_number(), -0.0025);
+  EXPECT_DOUBLE_EQ(Json::parse("10.5").as_number(), 10.5);
+}
+
+TEST(JsonParse, ExtremeDoublesRoundTrip) {
+  const double cases[] = {
+      4.9406564584124654e-324,  // smallest subnormal
+      -4.9406564584124654e-324,
+      2.2250738585072009e-308,  // largest subnormal
+      DBL_MIN,
+      DBL_MAX,
+      -DBL_MAX,
+      std::numeric_limits<double>::denorm_min() * 3,
+  };
+  for (const double d : cases) {
+    SCOPED_TRACE(d);
+    const std::string text = Json(d).dump(-1);
+    const double back = Json::parse(text).as_number();
+    EXPECT_EQ(back, d);
+    EXPECT_EQ(Json(back).dump(-1), text);
+  }
+  EXPECT_THROW(Json::parse("1e400"), JsonError);
+  EXPECT_THROW(Json::parse("-1e400"), JsonError);
+}
+
+TEST(JsonParse, DuplicateKeyOverwritesInFirstPosition) {
+  const Json doc = Json::parse(R"({"a":1,"b":2,"a":[3]})");
+  EXPECT_EQ(doc.size(), 2u);
+  EXPECT_EQ(doc.dump(-1), R"({"a":[3],"b":2})");
+}
+
+TEST(JsonParse, WhitespaceIsTheCLocaleSet) {
+  EXPECT_EQ(Json::parse(" \t\n\v\f\r[1]\r\n").size(), 1u);
+  EXPECT_THROW(Json::parse("\xa0[1]"), JsonError);
 }
 
 class JsonRoundTrip : public ::testing::TestWithParam<std::string> {};

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "graph/builder.hpp"
 #include "graph/serialize.hpp"
 #include "serve/client.hpp"
+#include "serve/net.hpp"
 #include "serve/server.hpp"
 
 namespace pimcomp {
@@ -315,6 +317,51 @@ TEST(ServeEndToEnd, RequestLevelErrorThrowsButConnectionSurvives) {
   const CompileReply reply = client.submit(inline_graph_request({2}));
   EXPECT_EQ(reply.error_count, 0);
 
+  server.stop();
+}
+
+TEST(ServeEndToEnd, HostileLinesGetAnErrorFrameAndTheConnectionServesOn) {
+  ServerOptions options;
+  options.unix_path = unique_socket_path("hostile");
+  CompileServer server(options);
+  server.start();
+
+  serve::LineChannel channel(serve::connect_unix(options.unix_path));
+  const auto next_frame = [&channel] {
+    std::optional<std::string> line = channel.read_line();
+    EXPECT_TRUE(line.has_value());
+    return line.has_value() ? Json::parse(*line) : Json();
+  };
+  // A 100k-deep line must not exhaust the daemon's stack, and a number
+  // token with junk in it must not parse as its prefix.
+  const std::string hostile[] = {
+      std::string(100000, '[') + std::string(100000, ']'),
+      R"({"type":"ping","id":[1-2]})",
+  };
+  for (const std::string& line : hostile) {
+    channel.write_line(line);
+    const Json frame = next_frame();
+    EXPECT_EQ(frame.get("type", std::string()), "error");
+    EXPECT_NE(frame.get("error", std::string()).find("bad json"),
+              std::string::npos);
+  }
+
+  // The same connection still serves requests, compile included.
+  channel.write_line(R"({"type":"ping","id":7})");
+  EXPECT_EQ(next_frame().get("type", std::string()), "pong");
+  CompileRequest request = inline_graph_request({2});
+  request.id = 8;
+  channel.write_line(serve::to_json(request).dump(-1));
+  for (;;) {
+    const Json frame = next_frame();
+    const std::string type = frame.get("type", std::string());
+    if (type == "done") {
+      EXPECT_EQ(frame.get("ok", 0), 1);
+      break;
+    }
+    ASSERT_NE(type, "error");
+    ASSERT_FALSE(frame.is_null());
+  }
   server.stop();
 }
 
