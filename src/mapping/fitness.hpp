@@ -90,9 +90,9 @@ class LLFitnessContext {
 /// Data-oriented fitness evaluation over a whole population. The GA keeps
 /// one evaluator per island, sized to the island's population: every
 /// per-gene quantity the per-candidate estimators recompute through
-/// MappingSolution's pointer-chasing accessors — gene lists, per-node host
-/// core sets (the O(cores x genes) `cores_of` scans), per-node replication
-/// and cycle counts, per-core load/penalty accumulators — is flattened into
+/// MappingSolution's accessors — gene lists, per-node host core sets (one
+/// `cores_of` host-index walk per node), per-node replication and cycle
+/// counts, per-core load/penalty accumulators — is flattened into
 /// contiguous population-sized stripes allocated once and reused across
 /// generations. `load()` gathers a candidate into its slot; `evaluate()`
 /// then runs the Fig 5 / Fig 6 estimator entirely on the slot's stripes

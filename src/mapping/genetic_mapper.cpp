@@ -37,7 +37,8 @@ struct MutationScratch {
 
 /// Finds a core that can accept `ag_count` AGs of `node`, trying a few random
 /// probes before falling back to a full scan from a random offset. Returns
-/// -1 when no core fits.
+/// -1 when no core fits. The scan skips cores without the crossbar room
+/// before asking can_add, which would refuse them anyway.
 int find_feasible_core(const MappingSolution& s, Rng& rng, NodeId node,
                        int ag_count, int exclude = -1) {
   const int cores = s.core_count();
@@ -45,10 +46,14 @@ int find_feasible_core(const MappingSolution& s, Rng& rng, NodeId node,
     const int c = rng.uniform_int(cores);
     if (c != exclude && s.can_add(c, node, ag_count)) return c;
   }
+  const int xbars = ag_count * s.workload().partition_of(node).xbars_per_ag;
   const int offset = rng.uniform_int(cores);
   for (int i = 0; i < cores; ++i) {
     const int c = (offset + i) % cores;
-    if (c != exclude && s.can_add(c, node, ag_count)) return c;
+    if (c != exclude && s.free_xbars(c) >= xbars &&
+        s.can_add(c, node, ag_count)) {
+      return c;
+    }
   }
   return -1;
 }
@@ -399,6 +404,12 @@ MappingSolution GeneticMapper::map(const Workload& workload,
   PIMCOMP_CHECK(config_.islands >= 1, "islands must be >= 1");
   PIMCOMP_CHECK(config_.migration_interval >= 1,
                 "migration_interval must be >= 1");
+  PIMCOMP_CHECK(config_.tournament_size >= 1, "tournament_size must be >= 1");
+  PIMCOMP_CHECK(config_.mutations_per_child >= 1,
+                "mutations_per_child must be >= 1");
+  // Also rejects NaN; the fill scales the int64 crossbar budget.
+  PIMCOMP_CHECK(config_.target_fill > 0.0 && config_.target_fill <= 1.0,
+                "target_fill must be in (0, 1]");
   PIMCOMP_CHECK(config_.enable_grow || config_.enable_shrink ||
                     config_.enable_spread || config_.enable_merge,
                 "at least one mutation operator must be enabled");
@@ -563,8 +574,8 @@ MappingSolution GeneticMapper::map(const Workload& workload,
     for (; bred < target; ++bred) {
       Individual& child = next[static_cast<std::size_t>(bred)];
       child = tournament();
-      const int mutation_count = island.rng.uniform_range(
-          1, std::max(1, config_.mutations_per_child));
+      const int mutation_count =
+          island.rng.uniform_range(1, config_.mutations_per_child);
       bool changed = false;
       for (int m = 0; m < mutation_count; ++m) {
         switch (ops[static_cast<std::size_t>(island.rng.pick_index(ops))]) {

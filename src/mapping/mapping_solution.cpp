@@ -1,6 +1,7 @@
 #include "mapping/mapping_solution.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -12,80 +13,75 @@ MappingSolution::MappingSolution(const Workload& workload,
                                  int max_nodes_per_core)
     : workload_(&workload),
       core_count_(workload.hardware().core_count),
-      max_nodes_per_core_(max_nodes_per_core) {
+      max_nodes_per_core_(max_nodes_per_core),
+      host_words_((static_cast<std::size_t>(core_count_) + 63) / 64) {
   PIMCOMP_CHECK(max_nodes_per_core >= 1,
                 "max_nodes_per_core must be positive");
   genes_.resize(slot_base(core_count_));
-  gene_count_.assign(static_cast<std::size_t>(core_count_), 0);
-  xbars_used_.assign(static_cast<std::size_t>(core_count_), 0);
+  per_core_.resize(static_cast<std::size_t>(core_count_));
   total_ags_.assign(static_cast<std::size_t>(workload.partition_count()), 0);
-}
-
-std::span<const Gene> MappingSolution::genes(int core) const {
-  PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  return {genes_.data() + slot_base(core),
-          static_cast<std::size_t>(gene_count_[static_cast<std::size_t>(core)])};
+  hosts_.assign(host_row(workload.partition_count()), 0);
 }
 
 bool MappingSolution::can_add(int core, NodeId node, int ag_count) const {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
   PIMCOMP_ASSERT(ag_count > 0, "ag_count must be positive");
   const NodePartition& p = workload_->partition_of(node);
-  if (xbars_used_[static_cast<std::size_t>(core)] +
-          ag_count * p.xbars_per_ag >
+  if (xbars_used(core) + ag_count * p.xbars_per_ag >
       workload_->hardware().xbars_per_core) {
     return false;
   }
-  if (!has_node(core, node) &&
-      gene_count(core) >= max_nodes_per_core_) {
-    return false;
-  }
-  // Guard the integer gene encoding bound.
+  // A resident gene merges (bounded by the integer gene encoding); a new
+  // gene needs a free slot.
   for (const Gene& g : genes(core)) {
-    if (g.node == node && g.ag_count + ag_count > kMaxAgCountPerGene) {
-      return false;
-    }
+    if (g.node == node) return g.ag_count + ag_count <= kMaxAgCountPerGene;
   }
-  return true;
+  return gene_count(core) < max_nodes_per_core_;
 }
 
 void MappingSolution::add(int core, NodeId node, int ag_count) {
   PIMCOMP_CHECK(can_add(core, node, ag_count),
                 "MappingSolution::add called with infeasible placement");
   const NodePartition& p = workload_->partition_of(node);
+  const int part = workload_->partition_index(node);
+  PerCore& state = per_core_[static_cast<std::size_t>(core)];
+  int& count = state.genes;
   Gene* first = genes_.data() + slot_base(core);
-  int& count = gene_count_[static_cast<std::size_t>(core)];
   Gene* it = std::find_if(first, first + count,
                           [node](const Gene& g) { return g.node == node; });
   if (it == first + count) {
     *it = Gene{node, ag_count};  // can_add proved a free slot exists
     ++count;
+    hosts_[host_row(part) + static_cast<std::size_t>(core) / 64] |=
+        std::uint64_t{1} << (core % 64);
   } else {
     it->ag_count += ag_count;
   }
-  xbars_used_[static_cast<std::size_t>(core)] += ag_count * p.xbars_per_ag;
-  total_ags_[static_cast<std::size_t>(workload_->partition_index(node))] +=
-      ag_count;
+  state.xbars += ag_count * p.xbars_per_ag;
+  total_ags_[static_cast<std::size_t>(part)] += ag_count;
 }
 
 int MappingSolution::remove(int core, NodeId node, int ag_count) {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
   PIMCOMP_ASSERT(ag_count > 0, "ag_count must be positive");
+  PerCore& state = per_core_[static_cast<std::size_t>(core)];
+  int& count = state.genes;
   Gene* first = genes_.data() + slot_base(core);
-  int& count = gene_count_[static_cast<std::size_t>(core)];
   Gene* it = std::find_if(first, first + count,
                           [node](const Gene& g) { return g.node == node; });
   if (it == first + count) return 0;
+  const int part = workload_->partition_index(node);
   const int removed = std::min(it->ag_count, ag_count);
   it->ag_count -= removed;
   if (it->ag_count == 0) {
     std::copy(it + 1, first + count, it);  // survivors keep their order
     --count;
+    hosts_[host_row(part) + static_cast<std::size_t>(core) / 64] &=
+        ~(std::uint64_t{1} << (core % 64));
   }
   const NodePartition& p = workload_->partition_of(node);
-  xbars_used_[static_cast<std::size_t>(core)] -= removed * p.xbars_per_ag;
-  total_ags_[static_cast<std::size_t>(workload_->partition_index(node))] -=
-      removed;
+  state.xbars -= removed * p.xbars_per_ag;
+  total_ags_[static_cast<std::size_t>(part)] -= removed;
   return removed;
 }
 
@@ -105,24 +101,13 @@ int MappingSolution::cycles(NodeId node) const {
   return ceil_div(p.windows, r);
 }
 
-int MappingSolution::xbars_used(int core) const {
-  PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  return xbars_used_[static_cast<std::size_t>(core)];
-}
-
-int MappingSolution::free_xbars(int core) const {
-  return workload_->hardware().xbars_per_core - xbars_used(core);
-}
-
-int MappingSolution::gene_count(int core) const {
-  PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  return gene_count_[static_cast<std::size_t>(core)];
-}
-
 bool MappingSolution::has_node(int core, NodeId node) const {
-  const std::span<const Gene> core_genes = genes(core);
-  return std::any_of(core_genes.begin(), core_genes.end(),
-                     [node](const Gene& g) { return g.node == node; });
+  PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
+  const int part = workload_->partition_index(node);
+  if (part < 0) return false;  // not a crossbar node: never resident
+  const std::uint64_t word =
+      hosts_[host_row(part) + static_cast<std::size_t>(core) / 64];
+  return ((word >> (core % 64)) & 1U) != 0;
 }
 
 std::vector<int> MappingSolution::cores_of(NodeId node) const {
@@ -133,14 +118,19 @@ std::vector<int> MappingSolution::cores_of(NodeId node) const {
 
 void MappingSolution::cores_of(NodeId node, std::vector<int>& out) const {
   out.clear();
-  for (int c = 0; c < core_count_; ++c) {
-    if (has_node(c, node)) out.push_back(c);
+  const int part = workload_->partition_index(node);
+  if (part < 0) return;
+  const std::uint64_t* row = hosts_.data() + host_row(part);
+  for (std::size_t w = 0; w < host_words_; ++w) {
+    for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
+    }
   }
 }
 
 std::int64_t MappingSolution::total_xbars_used() const {
   std::int64_t total = 0;
-  for (int used : xbars_used_) total += used;
+  for (const PerCore& state : per_core_) total += state.xbars;
   return total;
 }
 
@@ -149,6 +139,13 @@ void MappingSolution::validate() const {
   std::vector<int> recount(static_cast<std::size_t>(
                                workload_->partition_count()),
                            0);
+  // The host-core index equals the genes' (node, core) pairs when it holds
+  // every gene's bit and no other: same row count, each gene's bit set, and
+  // as many bits set as there are genes (genes are unique per core).
+  if (hosts_.size() != host_row(workload_->partition_count())) {
+    throw Error("host-core index is stale: row count differs");
+  }
+  std::int64_t gene_total = 0;
   for (int c = 0; c < core_count_; ++c) {
     const std::span<const Gene> core_genes = genes(c);
     int xbars = 0;
@@ -162,12 +159,18 @@ void MappingSolution::validate() const {
                       std::to_string(g.node));
         }
       }
+      if (!has_node(c, g.node)) {
+        throw Error("core " + std::to_string(c) +
+                    " host-core index is stale for node " +
+                    std::to_string(g.node));
+      }
+      ++gene_total;
       const NodePartition& p = workload_->partition_of(g.node);
       xbars += g.ag_count * p.xbars_per_ag;
       recount[static_cast<std::size_t>(workload_->partition_index(g.node))] +=
           g.ag_count;
     }
-    if (xbars != xbars_used_[static_cast<std::size_t>(c)]) {
+    if (xbars != xbars_used(c)) {
       throw Error("core " + std::to_string(c) + " crossbar cache is stale");
     }
     if (xbars > hw.xbars_per_core) {
@@ -175,6 +178,12 @@ void MappingSolution::validate() const {
                   std::to_string(xbars) + " crossbars, budget is " +
                   std::to_string(hw.xbars_per_core));
     }
+  }
+  std::int64_t bits_set = 0;
+  for (std::uint64_t word : hosts_) bits_set += std::popcount(word);
+  if (bits_set != gene_total) {
+    throw Error("host-core index is stale: " + std::to_string(bits_set) +
+                " bits for " + std::to_string(gene_total) + " genes");
   }
   for (const NodePartition& p : workload_->partitions()) {
     const int total =

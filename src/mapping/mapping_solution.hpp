@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "mapping/gene.hpp"
 #include "partition/array_group.hpp"
@@ -27,9 +28,16 @@ namespace pimcomp {
 ///    ags-per-replica, i.e. replication is integral and >= 1.
 ///
 /// Storage is flat: one core-major gene buffer with max_nodes_per_core
-/// slots per core plus a per-core gene count, so every solution of a
-/// workload has the same shape and copy-assigning one onto another reuses
-/// the target's storage (the GA recycles its breeding buffers this way).
+/// slots per core plus per-core gene and crossbar counts, so every solution
+/// of a workload has the same shape and copy-assigning one onto another
+/// reuses the target's storage (the GA recycles its breeding buffers this
+/// way).
+///
+/// A host-core index mirrors the genes: one bitset row per partition,
+/// ceil(core_count / 64) words wide, with core c's bit set while the node
+/// has a gene on c. `add`/`remove` keep it current, so `has_node` is one bit
+/// test and `cores_of` walks only the set bits instead of scanning every
+/// core's genes.
 class MappingSolution {
  public:
   MappingSolution(const Workload& workload, int max_nodes_per_core);
@@ -40,7 +48,10 @@ class MappingSolution {
 
   /// Genes resident on a core (each a distinct node), in insertion order.
   /// The view is invalidated by the next mutation of this core.
-  std::span<const Gene> genes(int core) const;
+  std::span<const Gene> genes(int core) const {
+    const auto count = static_cast<std::size_t>(gene_count(core));
+    return {genes_.data() + slot_base(core), count};
+  }
 
   // --- Mutation primitives (used by mappers) -------------------------------
 
@@ -65,11 +76,23 @@ class MappingSolution {
   /// Operation cycles each replica runs: ceil(windows / replication).
   int cycles(NodeId node) const;
 
-  int xbars_used(int core) const;
-  int free_xbars(int core) const;
-  int gene_count(int core) const;
+  // The per-core accessors are inline: the GA's feasible-core scans call
+  // them once per core probed.
+  int xbars_used(int core) const {
+    PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
+    return per_core_[static_cast<std::size_t>(core)].xbars;
+  }
+  int free_xbars(int core) const {
+    return workload_->hardware().xbars_per_core - xbars_used(core);
+  }
+  int gene_count(int core) const {
+    PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
+    return per_core_[static_cast<std::size_t>(core)].genes;
+  }
+  /// One bit test in the host-core index.
   bool has_node(int core, NodeId node) const;
-  /// Cores currently holding at least one AG of `node`, ascending.
+  /// Cores currently holding at least one AG of `node`, ascending. Costs
+  /// O(core_count / 64 + hosts) through the host-core index.
   std::vector<int> cores_of(NodeId node) const;
   /// Allocation-free form for hot loops: clears `out`, then fills it as
   /// above, reusing its capacity.
@@ -78,7 +101,9 @@ class MappingSolution {
   /// Total crossbars used across all cores.
   std::int64_t total_xbars_used() const;
 
-  /// Checks every invariant; throws Error with a diagnostic on violation.
+  /// Checks every invariant, re-deriving the crossbar, AG-total and
+  /// host-core caches from the genes; throws Error with a diagnostic on
+  /// violation.
   void validate() const;
 
   /// Expands genes into concrete AG instances (replica-major assignment in
@@ -117,13 +142,26 @@ class MappingSolution {
            static_cast<std::size_t>(max_nodes_per_core_);
   }
 
+  /// First word of partition `part`'s row in hosts_.
+  std::size_t host_row(int part) const {
+    return static_cast<std::size_t>(part) * host_words_;
+  }
+
+  struct PerCore {
+    int genes = 0;  // live slots at the core's front
+    int xbars = 0;  // crossbars used (cache)
+  };
+
   const Workload* workload_;
   int core_count_;
   int max_nodes_per_core_;
-  std::vector<Gene> genes_;      // core-major, max_nodes_per_core_ per core
-  std::vector<int> gene_count_;  // per core: live slots at the core's front
-  std::vector<int> xbars_used_;  // per core cache
-  std::vector<int> total_ags_;   // per partition index cache
+  std::vector<Gene> genes_;        // core-major, max_nodes_per_core_ per core
+  std::vector<PerCore> per_core_;  // one allocation for both per-core counts
+  std::vector<int> total_ags_;     // per partition index cache
+
+  // Host-core index: partition-major bitset rows, host_words_ words each.
+  std::size_t host_words_;
+  std::vector<std::uint64_t> hosts_;
 };
 
 }  // namespace pimcomp

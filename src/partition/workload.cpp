@@ -44,12 +44,6 @@ bool Workload::has_partition(NodeId node) const {
   return partition_index(node) >= 0;
 }
 
-int Workload::partition_index(NodeId node) const {
-  PIMCOMP_ASSERT(node >= 0 && node < graph_->node_count(),
-                 "node id out of range");
-  return partition_index_[static_cast<std::size_t>(node)];
-}
-
 int Workload::recommended_core_count(double headroom) const {
   return recommend_cores(min_xbars_, hw_, headroom);
 }

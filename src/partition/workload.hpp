@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "arch/hardware_config.hpp"
+#include "common/error.hpp"
 #include "graph/graph.hpp"
 #include "partition/node_partitioner.hpp"
 
@@ -34,7 +35,12 @@ class Workload {
   bool has_partition(NodeId node) const;
 
   /// Dense partition index for a node id (-1 when not a crossbar node).
-  int partition_index(NodeId node) const;
+  /// Inline: the GA's mutation primitives call it per gene touched.
+  int partition_index(NodeId node) const {
+    const auto index = static_cast<std::size_t>(node);  // negative -> huge
+    PIMCOMP_ASSERT(index < partition_index_.size(), "node id out of range");
+    return partition_index_[index];
+  }
 
   /// Crossbars required for exactly one replica of every node.
   std::int64_t min_xbars_required() const { return min_xbars_; }

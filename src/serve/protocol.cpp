@@ -75,6 +75,9 @@ constexpr long long kMaxWireGaBudget = 1'000'000;
 /// Islands bound (v6): each island costs a population-sized SoA evaluator,
 /// so the cap is far tighter than the generation/population budget.
 constexpr long long kMaxWireGaIslands = 4096;
+/// Tournament size and mutations per child are loop counts paid by every
+/// bred child, so they get a per-child cap rather than the budget's.
+constexpr long long kMaxWireGaPerChild = 1024;
 constexpr long long kMaxWireDimension = 1 << 20;   // xbar/core geometry
 constexpr long long kMaxWireInputSize = 1 << 16;
 /// ~10 years in ms: deadlines past this are configuration errors, not
@@ -116,6 +119,20 @@ int bounded_int(const Json& json, const char* key, int fallback,
                      ", got " + std::to_string(value));
   }
   return static_cast<int>(value);
+}
+
+/// Bounded read of an optional fraction in (0, 1]; like bounded_int, the
+/// fallback bypasses the check. Non-finite values fail the range test.
+double bounded_fraction(const Json& json, const char* key, double fallback,
+                        const char* what) {
+  if (!json.contains(key)) return fallback;
+  const double value = json.at(key).as_number();
+  if (!(value > 0.0 && value <= 1.0)) {
+    throw ServeError(std::string(what) + "." + key +
+                     " wants a fraction in (0, 1], got " +
+                     json.at(key).dump(-1));
+  }
+  return value;
 }
 
 }  // namespace
@@ -201,10 +218,13 @@ CompileOptions options_from_json(const Json& json,
                     kMaxWireGaBudget, "options.ga");
     options.ga.elite = ga.get("elite", options.ga.elite);
     options.ga.tournament_size =
-        ga.get("tournament_size", options.ga.tournament_size);
+        bounded_int(ga, "tournament_size", options.ga.tournament_size, 1,
+                    kMaxWireGaPerChild, "options.ga");
     options.ga.mutations_per_child =
-        ga.get("mutations_per_child", options.ga.mutations_per_child);
-    options.ga.target_fill = ga.get("target_fill", options.ga.target_fill);
+        bounded_int(ga, "mutations_per_child", options.ga.mutations_per_child,
+                    1, kMaxWireGaPerChild, "options.ga");
+    options.ga.target_fill = bounded_fraction(
+        ga, "target_fill", options.ga.target_fill, "options.ga");
     options.ga.enable_grow = ga.get("enable_grow", options.ga.enable_grow);
     options.ga.enable_shrink =
         ga.get("enable_shrink", options.ga.enable_shrink);

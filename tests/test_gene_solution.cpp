@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/random.hpp"
 #include "graph/builder.hpp"
 #include "graph/zoo/zoo.hpp"
 #include "mapping/gene.hpp"
@@ -348,6 +350,145 @@ TEST_F(SolutionTest, ValidateCatchesStaleCrossbarCache) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST_F(SolutionTest, ValidateCatchesStaleHostIndex) {
+  // Node 2 is a convolution in both graphs, but the second crossbar node in
+  // `before` and the first in `after`: swapping the workload under the
+  // solution moves the node's host-index row while its genes stay put.
+  GraphBuilder before_builder("before", {16, 8, 8});
+  NodeId x = before_builder.conv(before_builder.input(), 16, 3, 1, 1);
+  x = before_builder.conv(x, 16, 3, 1, 1);
+  before_builder.relu(x);
+  const Graph before = before_builder.build();
+  GraphBuilder after_builder("after", {16, 8, 8});
+  NodeId y = after_builder.relu(after_builder.input());
+  y = after_builder.conv(y, 16, 3, 1, 1);
+  after_builder.conv(y, 16, 3, 1, 1);
+  const Graph after = after_builder.build();
+
+  Workload workload(before, hw_);
+  ASSERT_EQ(workload.partition_index(2), 1);
+  MappingSolution s(workload, 8);
+  for (const NodePartition& p : workload.partitions()) {
+    s.add(p.node, p.node, p.ags_per_replica());  // node n on core n
+  }
+  ASSERT_NO_THROW(s.validate());
+  s.remove(1, 1, workload.partition_of(1).ags_per_replica());
+
+  workload = Workload(after, hw_);
+  ASSERT_EQ(workload.partition_index(2), 0);
+  try {
+    s.validate();
+    FAIL() << "validate() accepted a stale host-core index";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("host-core index is stale"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Reference answers for the host-core index, by scanning genes(core).
+bool scanned_has_node(const MappingSolution& s, int core, NodeId node) {
+  for (const Gene& g : s.genes(core)) {
+    if (g.node == node) return true;
+  }
+  return false;
+}
+
+std::vector<int> scanned_cores_of(const MappingSolution& s, NodeId node) {
+  std::vector<int> cores;
+  for (int c = 0; c < s.core_count(); ++c) {
+    if (scanned_has_node(s, c, node)) cores.push_back(c);
+  }
+  return cores;
+}
+
+bool scanned_can_add(const MappingSolution& s, int core, NodeId node,
+                     int ag_count) {
+  const NodePartition& p = s.workload().partition_of(node);
+  if (s.xbars_used(core) + ag_count * p.xbars_per_ag >
+      s.workload().hardware().xbars_per_core) {
+    return false;
+  }
+  if (!scanned_has_node(s, core, node) &&
+      s.gene_count(core) >= s.max_nodes_per_core()) {
+    return false;
+  }
+  for (const Gene& g : s.genes(core)) {
+    if (g.node == node && g.ag_count + ag_count > kMaxAgCountPerGene) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SolutionHostIndex, MatchesGeneScansAcrossWordBoundaries) {
+  const Graph graph = zoo::squeezenet(64);
+  HardwareConfig hw = HardwareConfig::puma_default();
+  hw.core_count = 150;  // three index words per row
+  const Workload workload(graph, hw);
+  // Cores on either side of each word boundary, drawn 70% of the time.
+  const std::vector<int> edges = {0, 1, 62, 63, 64, 65, 126, 127, 128, 149};
+
+  std::vector<MappingSolution> solutions(2, MappingSolution(workload, 3));
+  Rng rng(20261017);
+  std::vector<int> out;
+  int adds = 0;
+  int removes = 0;
+  int copies = 0;
+  int boundary_adds = 0;  // on cores 63, 64, 127 and 128
+  for (int step = 0; step < 4000; ++step) {
+    MappingSolution& s =
+        solutions[static_cast<std::size_t>(rng.uniform_int(2))];
+    int core = rng.uniform_int(hw.core_count);
+    if (rng.bernoulli(0.7)) {
+      core = edges[static_cast<std::size_t>(rng.pick_index(edges))];
+    }
+    const int part = rng.uniform_int(workload.partition_count());
+    NodeId node = workload.partitions()[static_cast<std::size_t>(part)].node;
+    const int ags = rng.uniform_range(1, 3);
+    const int op = rng.uniform_int(20);
+    if (op == 0) {
+      solutions[0] = solutions[1];  // copy-assign reuses the target's storage
+      ++copies;
+    } else if (op < 8) {
+      const std::span<const Gene> genes = s.genes(core);
+      if (!genes.empty()) {
+        node = genes[static_cast<std::size_t>(rng.pick_index(genes))].node;
+      }
+      removes += s.remove(core, node, ags) > 0 ? 1 : 0;
+    } else if (s.can_add(core, node, ags)) {
+      s.add(core, node, ags);
+      ++adds;
+      if (core % 64 == 63 || (core % 64 == 0 && core > 0)) ++boundary_adds;
+    }
+
+    for (const MappingSolution& checked : solutions) {
+      for (const NodePartition& p : workload.partitions()) {
+        const std::vector<int> expected = scanned_cores_of(checked, p.node);
+        ASSERT_EQ(checked.cores_of(p.node), expected)
+            << "step " << step << " node " << p.node;
+        checked.cores_of(p.node, out);
+        ASSERT_EQ(out, expected) << "step " << step << " node " << p.node;
+        for (int c = 0; c < checked.core_count(); ++c) {
+          ASSERT_EQ(checked.has_node(c, p.node),
+                    scanned_has_node(checked, c, p.node))
+              << "step " << step << " core " << c << " node " << p.node;
+        }
+        for (int n = 1; n <= 4; ++n) {
+          ASSERT_EQ(checked.can_add(core, p.node, n),
+                    scanned_can_add(checked, core, p.node, n))
+              << "step " << step << " core " << core << " node " << p.node;
+        }
+      }
+    }
+  }
+  // The walk must have exercised every primitive, on the boundary cores too.
+  EXPECT_GT(adds, 1000);
+  EXPECT_GT(removes, 300);
+  EXPECT_GT(copies, 100);
+  EXPECT_GT(boundary_adds, 100);
 }
 
 }  // namespace

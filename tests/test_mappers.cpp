@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "graph/zoo/zoo.hpp"
 #include "mapping/fitness.hpp"
@@ -107,6 +110,19 @@ TEST_F(MapperFixture, MutationAblationStillValid) {
   GeneticMapper broken(none);
   MapperOptions options;
   EXPECT_THROW(broken.map(*workload_, options), ConfigError);
+}
+
+TEST_F(MapperFixture, GeneticRejectsOutOfRangeBreedingKnobs) {
+  std::vector<GaConfig> bad(5, small_ga());
+  bad[0].tournament_size = 0;
+  bad[1].mutations_per_child = 0;
+  bad[2].target_fill = 1e300;
+  bad[3].target_fill = 0.0;
+  bad[4].target_fill = std::numeric_limits<double>::quiet_NaN();
+  for (const GaConfig& ga : bad) {
+    GeneticMapper mapper(ga);
+    EXPECT_THROW(mapper.map(*workload_, MapperOptions{}), ConfigError);
+  }
 }
 
 TEST_F(MapperFixture, PumaBalancedReplicationShape) {

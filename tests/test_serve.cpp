@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/instruction_stream.hpp"
@@ -351,6 +352,51 @@ TEST(ServeEndToEnd, HostileLinesGetAnErrorFrameAndTheConnectionServesOn) {
   EXPECT_EQ(next_frame().get("type", std::string()), "pong");
   CompileRequest request = inline_graph_request({2});
   request.id = 8;
+  channel.write_line(serve::to_json(request).dump(-1));
+  for (;;) {
+    const Json frame = next_frame();
+    const std::string type = frame.get("type", std::string());
+    if (type == "done") {
+      EXPECT_EQ(frame.get("ok", 0), 1);
+      break;
+    }
+    ASSERT_NE(type, "error");
+    ASSERT_FALSE(frame.is_null());
+  }
+  server.stop();
+}
+
+TEST(ServeEndToEnd, HostileGaKnobsGetAnErrorFrameAndTheConnectionServesOn) {
+  ServerOptions options;
+  options.unix_path = unique_socket_path("gaknobs");
+  CompileServer server(options);
+  server.start();
+
+  serve::LineChannel channel(serve::connect_unix(options.unix_path));
+  const auto next_frame = [&channel] {
+    std::optional<std::string> line = channel.read_line();
+    EXPECT_TRUE(line.has_value());
+    return line.has_value() ? Json::parse(*line) : Json();
+  };
+  // Unbounded, these would hang a worker (2e9 tournament rivals per child)
+  // or overflow the int64 crossbar budget (target_fill 1e300).
+  CompileRequest rivals = inline_graph_request({2});
+  rivals.scenarios[0].options.ga.tournament_size = 2'000'000'000;
+  CompileRequest overfill = inline_graph_request({2});
+  overfill.scenarios[0].options.ga.target_fill = 1e300;
+  const std::pair<CompileRequest, std::string> hostile[] = {
+      {rivals, "tournament_size"}, {overfill, "target_fill"}};
+  for (const auto& [request, key] : hostile) {
+    channel.write_line(serve::to_json(request).dump(-1));
+    const Json frame = next_frame();
+    EXPECT_EQ(frame.get("type", std::string()), "error");
+    EXPECT_NE(frame.get("error", std::string()).find(key), std::string::npos)
+        << frame.dump(-1);
+  }
+
+  // The same connection still compiles.
+  CompileRequest request = inline_graph_request({2});
+  request.id = 9;
   channel.write_line(serve::to_json(request).dump(-1));
   for (;;) {
     const Json frame = next_frame();

@@ -130,6 +130,46 @@ TEST(ServeProtocol, AbsurdWireNumericsAreRejected) {
   EXPECT_THROW(serve::request_from_json(request), ServeError);
 }
 
+TEST(ServeProtocol, GaPerChildKnobsAreBounded) {
+  // Tournament size and mutations per child are paid by every bred child,
+  // and target_fill scales an int64 crossbar budget: a hostile value hangs
+  // the worker or overflows, so each is rejected with a typed error.
+  const std::string hostile[] = {
+      R"({"ga": {"tournament_size": 2000000000}})",
+      R"({"ga": {"tournament_size": 0}})",
+      R"({"ga": {"mutations_per_child": 2000000000}})",
+      R"({"ga": {"mutations_per_child": -1}})",
+      R"({"ga": {"target_fill": 1e300}})",
+      R"({"ga": {"target_fill": 0}})",
+      R"({"ga": {"target_fill": -0.5}})",
+      R"({"ga": {"target_fill": 1.0000001}})",
+  };
+  for (const std::string& line : hostile) {
+    EXPECT_THROW(serve::options_from_json(Json::parse(line)), ServeError)
+        << line;
+  }
+
+  // The values the round-trip test sends, and the range ends, still decode.
+  Json ga = Json::object();
+  ga["tournament_size"] = 5;
+  ga["mutations_per_child"] = 3;
+  ga["target_fill"] = 0.75;
+  Json json = Json::object();
+  json["ga"] = ga;
+  const CompileOptions parsed = serve::options_from_json(json);
+  EXPECT_EQ(parsed.ga.tournament_size, 5);
+  EXPECT_EQ(parsed.ga.mutations_per_child, 3);
+  EXPECT_EQ(parsed.ga.target_fill, 0.75);
+  ga["tournament_size"] = 1024;
+  ga["mutations_per_child"] = 1;
+  ga["target_fill"] = 1;
+  json["ga"] = ga;
+  const CompileOptions ends = serve::options_from_json(json);
+  EXPECT_EQ(ends.ga.tournament_size, 1024);
+  EXPECT_EQ(ends.ga.mutations_per_child, 1);
+  EXPECT_EQ(ends.ga.target_fill, 1.0);
+}
+
 TEST(ServeProtocol, MisspelledKeysAreRejectedNotIgnored) {
   // "parallelism_degree" is the C++ field name; the wire key is
   // "parallelism" — silently ignoring the typo would compile the default
