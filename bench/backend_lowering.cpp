@@ -1,12 +1,15 @@
 // Times the lowering stage in isolation: compile each benchmark network
 // once (three classic stages, no backend), then repeatedly lower the
 // compiled schedule through the `isa-json` backend and round-trip the
-// resulting artifact through its JSON codec — stream to DOM, DOM to text,
-// text to DOM, DOM to stream: the costs a lowering-enabled compile, the
-// disk cache, and the serve protocol's v4 artifact frames add on top of a
-// plain compile. A final column executes the stream through
-// the `sim` backend against the legacy simulator on the original schedule;
-// the two reports must stay bit-identical (the bench aborts otherwise).
+// resulting artifact through its JSON codec — stream to text (the DOM-free
+// writer), stream to DOM, DOM to text, text to DOM, the header-only read a
+// router makes of the artifact frame, DOM to stream: the costs a
+// lowering-enabled compile, the disk cache, and the serve protocol's v4
+// artifact frames add on top of a plain compile. The writer's text must
+// equal the DOM's dump byte for byte (the bench exits non-zero otherwise).
+// A final column executes the stream through the `sim` backend against the
+// legacy simulator on the original schedule; the two reports must stay
+// bit-identical (the bench aborts otherwise).
 //
 // PIMCOMP_BENCH_JSON=path writes the measurements as a machine-readable
 // artifact (one row per model), same idiom as table2_compile_time.
@@ -24,6 +27,7 @@
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"  // seconds_since
+#include "serve/protocol.hpp"
 #include "sim/simulator.hpp"
 
 int main() {
@@ -35,9 +39,10 @@ int main() {
   Table table("Backend lowering: schedule -> InstructionStream, GA pop " +
               std::to_string(cfg.ga_population) + " x " +
               std::to_string(cfg.ga_generations) + " generations");
-  table.set_header({"model", "ops", "cores", "lower (ms)", "to_json (ms)",
-                    "dump (ms)", "parse (ms)", "from_json (ms)",
-                    "artifact KiB", "sim exec (ms)", "legacy sim (ms)"});
+  table.set_header({"model", "ops", "cores", "lower (ms)", "write (ms)",
+                    "to_json (ms)", "dump (ms)", "parse (ms)",
+                    "fields (ms)", "from_json (ms)", "artifact KiB",
+                    "sim exec (ms)", "legacy sim (ms)"});
 
   const std::unique_ptr<Backend> emitter = BackendRegistry::create("isa-json");
   const std::unique_ptr<Backend> executor = BackendRegistry::create("sim");
@@ -58,9 +63,9 @@ int main() {
     input.hardware = &hw;
     input.options = &result.options;
 
-    // Best-of-kReps for each leg: lowering, then the four codec legs.
-    double lower_s = 0.0, encode_s = 0.0, dump_s = 0.0, parse_s = 0.0,
-           decode_s = 0.0;
+    // Best-of-kReps for each leg: lowering, then the six codec legs.
+    double lower_s = 0.0, write_s = 0.0, encode_s = 0.0, dump_s = 0.0,
+           parse_s = 0.0, fields_s = 0.0, decode_s = 0.0;
     InstructionStream stream;
     std::string text;
     const auto keep_best = [](int rep, double seconds, double& best) {
@@ -72,16 +77,31 @@ int main() {
       keep_best(rep, seconds_since(t0), lower_s);
 
       t0 = std::chrono::steady_clock::now();
+      const std::string written = stream.to_json_text();
+      keep_best(rep, seconds_since(t0), write_s);
+
+      t0 = std::chrono::steady_clock::now();
       const Json artifact = stream.to_json();
       keep_best(rep, seconds_since(t0), encode_s);
 
       t0 = std::chrono::steady_clock::now();
       text = artifact.dump(-1);
       keep_best(rep, seconds_since(t0), dump_s);
+      if (written != text) {
+        std::cerr << name << ": to_json_text() differs from "
+                  << "to_json().dump(-1)\n";
+        return 1;
+      }
 
       t0 = std::chrono::steady_clock::now();
       const Json reparsed = Json::parse(text);
       keep_best(rep, seconds_since(t0), parse_s);
+
+      const std::string frame = serve::artifact_frame_line(1, name, 0, text);
+      t0 = std::chrono::steady_clock::now();
+      const Json header = Json::parse_fields(frame, {"type", "index"});
+      keep_best(rep, seconds_since(t0), fields_s);
+      if (header.get("type", std::string()) != "artifact") return 1;
 
       t0 = std::chrono::steady_clock::now();
       const InstructionStream parsed = InstructionStream::from_json(reparsed);
@@ -110,8 +130,9 @@ int main() {
     table.add_row(
         {name, std::to_string(stream.total_ops),
          std::to_string(stream.core_count()),
-         format_double(lower_s * 1e3, 2), format_double(encode_s * 1e3, 2),
-         format_double(dump_s * 1e3, 2), format_double(parse_s * 1e3, 2),
+         format_double(lower_s * 1e3, 2), format_double(write_s * 1e3, 2),
+         format_double(encode_s * 1e3, 2), format_double(dump_s * 1e3, 2),
+         format_double(parse_s * 1e3, 2), format_double(fields_s * 1e3, 2),
          format_double(decode_s * 1e3, 2),
          format_double(static_cast<double>(artifact_bytes) / 1024.0, 1),
          format_double(exec_s * 1e3, 2), format_double(legacy_s * 1e3, 2)});
@@ -121,9 +142,11 @@ int main() {
     row["total_ops"] = stream.total_ops;
     row["cores"] = stream.core_count();
     row["lower_s"] = lower_s;
+    row["write_s"] = write_s;
     row["to_json_s"] = encode_s;
     row["dump_s"] = dump_s;
     row["parse_s"] = parse_s;
+    row["parse_fields_s"] = fields_s;
     row["from_json_s"] = decode_s;
     row["artifact_bytes"] = static_cast<std::int64_t>(artifact_bytes);
     row["sim_execute_s"] = exec_s;

@@ -95,17 +95,19 @@ wait_socket "$ROUTER_SOCK"
 # Scenario 0 is near-instant — its outcome is relayed before the kill, so
 # the retry's deduplication is exercised for real. The heavy GA budgets
 # hold the (single-job) backend long enough that the SIGKILL lands while
-# the batch is streaming, even on a fast machine.
+# the batch is streaming, even on a fast machine: each takes seconds (a
+# 4-vCPU VM maps squeezenet@64 at 512 x 500 in 0.2 s, too fast for the
+# one-second wait below).
 cat > "$SCENARIOS" <<'EOF'
 [
   {"label": "light", "options": {"mode": "ll", "parallelism": 4,
    "ga": {"population": 6, "generations": 3}}},
   {"label": "heavy-a", "options": {"mode": "ll", "parallelism": 8,
-   "ga": {"population": 512, "generations": 500}}},
+   "ga": {"population": 512, "generations": 20000}}},
   {"label": "heavy-b", "options": {"mode": "ll", "parallelism": 12,
-   "ga": {"population": 512, "generations": 500}}},
+   "ga": {"population": 512, "generations": 20000}}},
   {"label": "heavy-c", "options": {"mode": "ll", "parallelism": 16,
-   "ga": {"population": 512, "generations": 500}}}
+   "ga": {"population": 512, "generations": 20000}}}
 ]
 EOF
 

@@ -34,25 +34,6 @@ PipelineMode mode_from_name(const std::string& name) {
                                "'ll', got '" + name + "'");
 }
 
-/// One Instruction as a compact 10-tuple. Field order is part of the
-/// schema — changing it requires a kIsaVersion bump:
-///   [opcode, node, ag, window, bytes, elements, peer, tag, xbars,
-///    local_usage]
-Json instruction_to_json(const Instruction& inst) {
-  Json row = Json::array();
-  row.push_back(to_string(inst.opcode));
-  row.push_back(static_cast<std::int64_t>(inst.node));
-  row.push_back(static_cast<std::int64_t>(inst.ag));
-  row.push_back(static_cast<std::int64_t>(inst.window));
-  row.push_back(inst.bytes);
-  row.push_back(inst.elements);
-  row.push_back(static_cast<std::int64_t>(inst.peer));
-  row.push_back(static_cast<std::int64_t>(inst.tag));
-  row.push_back(static_cast<std::int64_t>(inst.xbars));
-  row.push_back(inst.local_usage);
-  return row;
-}
-
 Instruction instruction_from_json(const Json& row) {
   if (!row.is_array() || row.size() != 10) {
     throw InstructionStreamError("instruction row must be a 10-tuple");
@@ -71,10 +52,44 @@ Instruction instruction_from_json(const Json& row) {
   return inst;
 }
 
-Json int64_array(const std::vector<std::int64_t>& values) {
-  Json array = Json::array();
-  for (std::int64_t v : values) array.push_back(v);
-  return array;
+/// Appends `"name":`, opening the object before the first member.
+void append_key(std::string& out, const char* name) {
+  out.push_back(out.empty() ? '{' : ',');
+  json_append_string(out, name);
+  out.push_back(':');
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  // Through a double, exactly as a Json number holds it.
+  json_append_number(out, static_cast<double>(value));
+}
+
+void append_int64_array(std::string& out,
+                        const std::vector<std::int64_t>& values) {
+  out.push_back('[');
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    append_int(out, values[i]);
+  }
+  out.push_back(']');
+}
+
+/// One Instruction as a compact 10-tuple. Field order is part of the
+/// schema — changing it requires a kIsaVersion bump:
+///   [opcode, node, ag, window, bytes, elements, peer, tag, xbars,
+///    local_usage]
+void append_instruction(std::string& out, const Instruction& inst) {
+  out.push_back('[');
+  json_append_string(out, to_string(inst.opcode));
+  for (const std::int64_t field :
+       {std::int64_t{inst.node}, std::int64_t{inst.ag},
+        std::int64_t{inst.window}, inst.bytes, inst.elements,
+        std::int64_t{inst.peer}, std::int64_t{inst.tag},
+        std::int64_t{inst.xbars}, inst.local_usage}) {
+    out.push_back(',');
+    append_int(out, field);
+  }
+  out.push_back(']');
 }
 
 std::vector<std::int64_t> int64_vector(const Json& array, const char* what) {
@@ -274,34 +289,52 @@ InstructionStream InstructionStream::from_schedule(
 }
 
 std::uint64_t InstructionStream::content_fingerprint() const {
-  const std::string canonical = to_json().dump(-1);
+  const std::string canonical = to_json_text();
   return fnv1a_bytes(kFnvOffset, canonical.data(), canonical.size());
 }
 
-Json InstructionStream::to_json() const {
-  Json json = Json::object();
+std::string InstructionStream::to_json_text() const {
+  // Rows are ~40 bytes; one reservation keeps the writer from regrowing.
+  std::size_t rows = 0;
+  for (const std::vector<Instruction>& program : cores) rows += program.size();
+  std::string out;
+  out.reserve(256 + 48 * rows);
   // Envelope first: a self-describing artifact survives being moved
   // between caches, files and wire frames.
-  json["isa"] = kIsaVersion;
-  json["backend"] = backend;
-  json["mapping_key"] = cache_key_hex(mapping_key);
-  json["mode"] = mode_name(mode);
-  json["parallelism"] = parallelism_degree;
-  json["ag_count"] = ag_count;
-  json["total_ops"] = total_ops;
-  json["spill_bytes"] = int64_array(spill_bytes);
-  json["peak_local_bytes"] = int64_array(peak_local_bytes);
-  Json cores_json = Json::array();
-  for (const std::vector<Instruction>& program : cores) {
-    Json rows = Json::array();
-    for (const Instruction& inst : program) {
-      rows.push_back(instruction_to_json(inst));
+  append_key(out, "isa");
+  append_int(out, kIsaVersion);
+  append_key(out, "backend");
+  json_append_string(out, backend);
+  append_key(out, "mapping_key");
+  json_append_string(out, cache_key_hex(mapping_key));
+  append_key(out, "mode");
+  json_append_string(out, mode_name(mode));
+  append_key(out, "parallelism");
+  append_int(out, parallelism_degree);
+  append_key(out, "ag_count");
+  append_int(out, ag_count);
+  append_key(out, "total_ops");
+  append_int(out, total_ops);
+  append_key(out, "spill_bytes");
+  append_int64_array(out, spill_bytes);
+  append_key(out, "peak_local_bytes");
+  append_int64_array(out, peak_local_bytes);
+  append_key(out, "cores");
+  out.push_back('[');
+  for (std::size_t c = 0; c < cores.size(); ++c) {
+    if (c > 0) out.push_back(',');
+    out.push_back('[');
+    for (std::size_t i = 0; i < cores[c].size(); ++i) {
+      if (i > 0) out.push_back(',');
+      append_instruction(out, cores[c][i]);
     }
-    cores_json.push_back(std::move(rows));
+    out.push_back(']');
   }
-  json["cores"] = std::move(cores_json);
-  return json;
+  out += "]}";
+  return out;
 }
+
+Json InstructionStream::to_json() const { return Json::parse(to_json_text()); }
 
 InstructionStream InstructionStream::from_json(const Json& json) {
   if (!json.is_object()) {

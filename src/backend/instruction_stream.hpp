@@ -105,6 +105,12 @@ struct InstructionStream {
   /// artifact identity pinned by the golden tests and reported by tooling.
   std::uint64_t content_fingerprint() const;
 
+  /// The canonical compact JSON text, written straight from the rows: the
+  /// bytes to_json().dump(-1) gives, without building a DOM. This is the
+  /// one place instruction rows are serialized.
+  std::string to_json_text() const;
+
+  /// The artifact as a DOM: Json::parse(to_json_text()).
   Json to_json() const;
 
   /// Parses and validate()s. The `expected_mapping_key` overload

@@ -1,6 +1,7 @@
 #ifndef PIMCOMP_CACHE_CACHE_STORE_HPP
 #define PIMCOMP_CACHE_CACHE_STORE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -27,10 +28,13 @@ struct CacheEntry {
 };
 
 /// A successful load: the entry plus which tier satisfied it
-/// (cache_sources::kMemory / kDisk — a static string, safe to hold).
+/// (cache_sources::kMemory / kDisk / kRemote — a static string, safe to
+/// hold) and that tier's position in a TieredStore (0 for a single store),
+/// which CacheStore::promote takes back.
 struct CacheHit {
   CacheEntry entry;
   const char* source = cache_sources::kMemory;
+  std::size_t tier = 0;
 };
 
 /// Lifetime counters of one store (monotonic except entries/bytes, which
@@ -68,6 +72,17 @@ class CacheStore {
   /// stored (slot already occupied, read-only tier, or I/O failure —
   /// stores are best-effort and never throw).
   virtual const char* store(std::uint64_t key, const CacheEntry& entry) = 0;
+
+  /// Promotes a hit: stores `entry` (the hit's entry, typically with its
+  /// decoded object attached) only in the tiers above `hit_tier`, the one
+  /// that served it. That tier and those below it already hold the entry,
+  /// so nothing is rewritten or re-sent. A single store has nothing above
+  /// itself and does nothing. Returns like store().
+  virtual const char* promote(std::uint64_t /*key*/,
+                              const CacheEntry& /*entry*/,
+                              std::size_t /*hit_tier*/) {
+    return nullptr;
+  }
 
   /// Drops `key` everywhere it is present (e.g. after the caller found a
   /// persisted artifact undecodable at a level the store cannot check).

@@ -97,6 +97,20 @@ StoreScan scan_store(const fs::path& root) {
   return scan;
 }
 
+/// True when `artifact` already holds exactly the envelope store() stamps
+/// for `key`, so stamping it would not change a byte.
+bool carries_envelope(const Json& artifact, std::uint64_t key) {
+  if (!artifact.is_object() || !artifact.contains("schema") ||
+      !artifact.contains("key")) {
+    return false;
+  }
+  const Json& schema = artifact.at("schema");
+  const Json& stamped_key = artifact.at("key");
+  return schema.is_number() && schema.as_number() == kCacheSchemaVersion &&
+         stamped_key.is_string() &&
+         stamped_key.as_string() == cache_key_hex(key);
+}
+
 }  // namespace
 
 DiskStore::DiskStore(CacheConfig config) : config_(std::move(config)) {
@@ -175,9 +189,17 @@ const char* DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
   std::error_code ec;
   if (fs::exists(path, ec)) return nullptr;  // first writer won already
 
-  Json artifact = entry.artifact;
-  artifact["schema"] = kCacheSchemaVersion;
-  artifact["key"] = cache_key_hex(key);
+  // Stamp the envelope on a copy only when the artifact does not already
+  // carry it (a remote hit's or a peer's artifact always does), so the
+  // common case writes the caller's DOM as is.
+  const Json* artifact = &entry.artifact;
+  Json stamped;
+  if (!carries_envelope(entry.artifact, key)) {
+    stamped = entry.artifact;
+    stamped["schema"] = kCacheSchemaVersion;
+    stamped["key"] = cache_key_hex(key);
+    artifact = &stamped;
+  }
 
   // Unique temp name in the destination directory (rename must not cross
   // filesystems): pid disambiguates processes, the counter disambiguates
@@ -192,7 +214,7 @@ const char* DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
     {
       std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
       if (!out) return nullptr;
-      out << artifact.dump(-1) << '\n';
+      out << artifact->dump(-1) << '\n';
       out.flush();
       if (!out.good()) {
         out.close();

@@ -15,8 +15,8 @@ std::atomic<RemoteTierFactory> g_remote_tier_factory{nullptr};
 
 }  // namespace
 
-void register_remote_tier_factory(RemoteTierFactory factory) {
-  g_remote_tier_factory.store(factory, std::memory_order_release);
+RemoteTierFactory register_remote_tier_factory(RemoteTierFactory factory) {
+  return g_remote_tier_factory.exchange(factory, std::memory_order_acq_rel);
 }
 
 std::unique_ptr<CacheStore> make_remote_tier(const CacheConfig& config) {

@@ -25,9 +25,11 @@ using RemoteTierFactory =
     std::unique_ptr<CacheStore> (*)(const CacheConfig& config);
 
 /// Installs `factory` as the remote-tier builder (latest registration
-/// wins; nullptr uninstalls). Called from a static initializer in the
-/// registering TU, mirroring PIMCOMP_REGISTER_MAPPER's idiom.
-void register_remote_tier_factory(RemoteTierFactory factory);
+/// wins; nullptr uninstalls) and returns the one it replaced, so a caller
+/// that swaps in its own can put the previous one back. Called from a
+/// static initializer in the registering TU, mirroring
+/// PIMCOMP_REGISTER_MAPPER's idiom.
+RemoteTierFactory register_remote_tier_factory(RemoteTierFactory factory);
 
 }  // namespace pimcomp
 

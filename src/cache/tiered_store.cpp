@@ -1,5 +1,6 @@
 #include "cache/tiered_store.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,16 +16,24 @@ TieredStore::TieredStore(std::vector<std::unique_ptr<CacheStore>> tiers)
 }
 
 std::optional<CacheHit> TieredStore::load(std::uint64_t key) {
-  for (std::unique_ptr<CacheStore>& tier : tiers_) {
-    if (std::optional<CacheHit> hit = tier->load(key)) return hit;
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
+    if (std::optional<CacheHit> hit = tiers_[i]->load(key)) {
+      hit->tier = i;
+      return hit;
+    }
   }
   return std::nullopt;
 }
 
 const char* TieredStore::store(std::uint64_t key, const CacheEntry& entry) {
+  return promote(key, entry, tiers_.size());
+}
+
+const char* TieredStore::promote(std::uint64_t key, const CacheEntry& entry,
+                                 std::size_t hit_tier) {
   const char* deepest = nullptr;
-  for (std::unique_ptr<CacheStore>& tier : tiers_) {
-    if (const char* stored = tier->store(key, entry)) deepest = stored;
+  for (std::size_t i = 0; i < std::min(hit_tier, tiers_.size()); ++i) {
+    if (const char* stored = tiers_[i]->store(key, entry)) deepest = stored;
   }
   return deepest;
 }

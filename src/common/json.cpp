@@ -132,7 +132,7 @@ bool Json::get(const std::string& key, bool fallback) const {
 
 namespace {
 
-void escape_string(const std::string& s, std::string& out) {
+void escape_string(std::string_view s, std::string& out) {
   static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
   std::size_t run = 0;  // start of the pending run of bytes copied verbatim
@@ -160,10 +160,15 @@ void escape_string(const std::string& s, std::string& out) {
 // Integral values below 9e15 print as integers; everything else prints
 // exactly as printf's "%.17g" would (std::to_chars's general format at a
 // given precision is specified to match it, inf and nan included).
+// The range test comes first, so the cast is defined and NaN/inf fall
+// through; a value is integral when it survives the round trip through
+// long long (-0 prints as 0).
 void format_number(double d, std::string& out) {
   char buf[32];
+  const bool integral = d > -9.0e15 && d < 9.0e15 &&
+                        static_cast<double>(static_cast<long long>(d)) == d;
   const std::to_chars_result result =
-      std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.0e15
+      integral
           ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d))
           : std::to_chars(buf, buf + sizeof(buf), d,
                           std::chars_format::general, 17);
@@ -177,6 +182,14 @@ void newline(std::string& out, int indent, int depth) {
 }
 
 }  // namespace
+
+void json_append_number(std::string& out, double value) {
+  format_number(value, out);
+}
+
+void json_append_string(std::string& out, std::string_view value) {
+  escape_string(value, out);
+}
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type()) {
@@ -239,6 +252,10 @@ std::string Json::dump(int indent) const {
 /// that depth) and move into an exactly-sized vector when it closes; the
 /// buffers live in deques so growing a deeper level never moves a
 /// shallower level's elements out from under the frame filling them.
+///
+/// Every parse_* takes its destination by pointer: null is discard mode,
+/// which walks and validates the same grammar but builds nothing. That is
+/// how parse_fields() skips the root members it was not asked for.
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text)
@@ -246,10 +263,18 @@ class JsonParser {
 
   Json parse_document() {
     Json value;
-    parse_value(value, 0);
-    skip_ws();
-    if (p_ != end_) fail("trailing characters after document");
+    parse_value(&value, 0);
+    finish();
     return value;
+  }
+
+  Json parse_fields(std::initializer_list<std::string_view> keys) {
+    keep_ = &keys;
+    skip_ws();
+    Json fields;
+    parse_value(peek() == '{' ? &fields : nullptr, 0);
+    finish();
+    return fields;
   }
 
  private:
@@ -267,6 +292,11 @@ class JsonParser {
     oss << "json parse error at line " << line << " col " << col << ": "
         << why;
     throw JsonError(oss.str());
+  }
+
+  void finish() {
+    skip_ws();
+    if (p_ != end_) fail("trailing characters after document");
   }
 
   // The C locale's isspace set, without the locale lookup.
@@ -299,19 +329,31 @@ class JsonParser {
     }
   }
 
-  void parse_value(Json& out, int depth) {
+  void parse_value(Json* out, int depth) {
     skip_ws();
     switch (peek()) {
       case '{': parse_object(out, depth + 1); break;
       case '[': parse_array(out, depth + 1); break;
-      case '"': parse_string(out.value_.emplace<std::string>()); break;
-      case 't': expect_word("true"); out.value_.emplace<bool>(true); break;
-      case 'f': expect_word("false"); out.value_.emplace<bool>(false); break;
+      case '"':
+        parse_string(out != nullptr ? &out->value_.emplace<std::string>()
+                                    : nullptr);
+        break;
+      case 't':
+        expect_word("true");
+        if (out != nullptr) out->value_.emplace<bool>(true);
+        break;
+      case 'f':
+        expect_word("false");
+        if (out != nullptr) out->value_.emplace<bool>(false);
+        break;
       case 'n':
         expect_word("null");
-        out.value_.emplace<std::monostate>();
+        if (out != nullptr) out->value_.emplace<std::monostate>();
         break;
-      default: out.value_.emplace<double>(parse_number());
+      default: {
+        const double number = parse_number();
+        if (out != nullptr) out->value_.emplace<double>(number);
+      }
     }
   }
 
@@ -322,31 +364,33 @@ class JsonParser {
     }
   }
 
-  void parse_string(std::string& out) {
+  void parse_string(std::string* out) {
     expect_char('"');
     for (;;) {
       const char* run = p_;
       while (p_ != end_ && *p_ != '"' && *p_ != '\\') ++p_;
-      out.append(run, p_);
+      if (out != nullptr) out->append(run, p_);
       if (p_ == end_) fail("unterminated string");
       if (*p_++ == '"') return;
       const char esc = take();
+      char decoded = 0;
       switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': append_unicode_escape(out); break;
+        case '"': decoded = '"'; break;
+        case '\\': decoded = '\\'; break;
+        case '/': decoded = '/'; break;
+        case 'n': decoded = '\n'; break;
+        case 't': decoded = '\t'; break;
+        case 'r': decoded = '\r'; break;
+        case 'b': decoded = '\b'; break;
+        case 'f': decoded = '\f'; break;
+        case 'u': append_unicode_escape(out); continue;
         default: fail("bad escape character");
       }
+      if (out != nullptr) out->push_back(decoded);
     }
   }
 
-  void append_unicode_escape(std::string& out) {
+  void append_unicode_escape(std::string* out) {
     unsigned code = 0;
     for (int i = 0; i < 4; ++i) {
       const char h = take();
@@ -356,19 +400,19 @@ class JsonParser {
       else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
       else fail("bad unicode escape");
     }
+    if (out == nullptr) return;
     // Encode as UTF-8 (basic multilingual plane only).
     if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
+      out->push_back(static_cast<char>(code));
     } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
     } else {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
     }
   }
-
   // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — and the
   // grammar must end the token: "1-2", "01", "1.5e" and "1e5.3" throw.
   double parse_number() {
@@ -439,18 +483,20 @@ class JsonParser {
     return buffers[static_cast<std::size_t>(depth) - 1];
   }
 
-  void parse_array(Json& out, int depth) {
+  void parse_array(Json* out, int depth) {
     enter(depth);
     expect_char('[');
     skip_ws();
     if (peek() == ']') {
       ++p_;
-      out.value_.emplace<Json::Array>();
+      if (out != nullptr) out->value_.emplace<Json::Array>();
       return;
     }
-    Json::Array& elements = level(array_scratch_, depth);
+    Json::Array* elements =
+        out != nullptr ? &level(array_scratch_, depth) : nullptr;
     for (;;) {
-      parse_value(elements.emplace_back(), depth);
+      parse_value(elements != nullptr ? &elements->emplace_back() : nullptr,
+                  depth);
       skip_ws();
       const char c = take();
       if (c == ']') break;
@@ -459,39 +505,53 @@ class JsonParser {
         fail("expected ',' or ']'");
       }
     }
-    out.value_.emplace<Json::Array>(std::make_move_iterator(elements.begin()),
-                                    std::make_move_iterator(elements.end()));
-    elements.clear();
+    if (elements == nullptr) return;
+    out->value_.emplace<Json::Array>(
+        std::make_move_iterator(elements->begin()),
+        std::make_move_iterator(elements->end()));
+    elements->clear();
   }
 
-  void parse_object(Json& out, int depth) {
+  // The root object of a parse_fields() keeps only the requested members.
+  bool keeps(const std::string& key, int depth) const {
+    if (keep_ == nullptr || depth != 1) return true;
+    for (std::string_view wanted : *keep_) {
+      if (wanted == key) return true;
+    }
+    return false;
+  }
+
+  void parse_object(Json* out, int depth) {
     enter(depth);
     expect_char('{');
     skip_ws();
     if (peek() == '}') {
       ++p_;
-      out.value_.emplace<Json::Object>();
+      if (out != nullptr) out->value_.emplace<Json::Object>();
       return;
     }
-    Json::Object& members = level(object_scratch_, depth);
+    Json::Object* members =
+        out != nullptr ? &level(object_scratch_, depth) : nullptr;
     std::string key;
     for (;;) {
       skip_ws();
       key.clear();
-      parse_string(key);
+      parse_string(members != nullptr ? &key : nullptr);
       skip_ws();
       expect_char(':');
       // A repeated key overwrites the earlier value in its first position,
       // as operator[] does.
       Json* slot = nullptr;
-      for (auto& [k, v] : members) {
-        if (k == key) {
-          slot = &v;
-          break;
+      if (members != nullptr && keeps(key, depth)) {
+        for (auto& [k, v] : *members) {
+          if (k == key) {
+            slot = &v;
+            break;
+          }
         }
+        if (slot == nullptr) slot = &members->emplace_back(key, Json()).second;
       }
-      if (slot == nullptr) slot = &members.emplace_back(key, Json()).second;
-      parse_value(*slot, depth);
+      parse_value(slot, depth);
       skip_ws();
       const char c = take();
       if (c == '}') break;
@@ -500,20 +560,29 @@ class JsonParser {
         fail("expected ',' or '}'");
       }
     }
-    out.value_.emplace<Json::Object>(std::make_move_iterator(members.begin()),
-                                     std::make_move_iterator(members.end()));
-    members.clear();
+    if (members == nullptr) return;
+    out->value_.emplace<Json::Object>(
+        std::make_move_iterator(members->begin()),
+        std::make_move_iterator(members->end()));
+    members->clear();
   }
 
   const char* begin_;
   const char* end_;
   const char* p_;
+  /// parse_fields(): the root members to build; null builds everything.
+  const std::initializer_list<std::string_view>* keep_ = nullptr;
   std::deque<Json::Array> array_scratch_;    ///< [depth - 1]: open elements
   std::deque<Json::Object> object_scratch_;  ///< [depth - 1]: open members
 };
 
 Json Json::parse(const std::string& text) {
   return JsonParser(text).parse_document();
+}
+
+Json Json::parse_fields(const std::string& text,
+                        std::initializer_list<std::string_view> keys) {
+  return JsonParser(text).parse_fields(keys);
 }
 
 Json json_from_file(const std::string& path) {

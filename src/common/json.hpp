@@ -2,9 +2,11 @@
 #define PIMCOMP_COMMON_JSON_HPP
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -88,6 +90,15 @@ class Json {
   /// throws JsonError.
   static Json parse(const std::string& text);
 
+  /// Reads only the root object's members named in `keys`: returns an
+  /// object holding those members in document order (a repeated key keeps
+  /// its last value in its first position, as parse() does), or null when
+  /// the root is not an object. Every other member is validated exactly as
+  /// parse() would (same grammar, numbers, kMaxDepth and error text) but
+  /// never built, so this accepts and rejects exactly what parse() does.
+  static Json parse_fields(const std::string& text,
+                           std::initializer_list<std::string_view> keys);
+
  private:
   friend class JsonParser;
   using Array = std::vector<Json>;
@@ -99,6 +110,11 @@ class Json {
   std::variant<std::monostate, bool, double, std::string, Array, Object>
       value_;
 };
+
+/// Appends a number / a string exactly as dump() writes that value, for
+/// writers that stream JSON text without building a DOM.
+void json_append_number(std::string& out, double value);
+void json_append_string(std::string& out, std::string_view value);
 
 /// Reads a whole file into a Json value (throws Error on I/O failure).
 Json json_from_file(const std::string& path);

@@ -930,14 +930,15 @@ std::optional<CompileResult> CompilerSession::adopt_mapping_hit(
     }
     notify_cache_hit(cache_names::kMapping, scenario.label, index, tag,
                      mapping_hits_, hit.source);
-    // Promotion: re-store the entry with the decoded result attached. The
-    // memory tier adopts it; the disk tier sees its existing file and
-    // leaves it untouched. Deliberately no on_cache_store event — nothing
-    // new was computed.
+    // Promotion: re-store the entry with the decoded result attached, into
+    // the tiers above the one that served it only — a disk hit fills
+    // memory; a remote hit fills memory and disk, and is never pushed back
+    // to the peers. Deliberately no on_cache_store event — nothing new was
+    // computed.
     CacheEntry promoted;
     promoted.artifact = std::move(hit.entry.artifact);
     promoted.decoded = std::make_shared<const CompileResult>(result);
-    mapping_store_->store(mapping_key, promoted);
+    mapping_store_->promote(mapping_key, promoted, hit.tier);
     return result;
   } catch (const Error&) {
     // Corrupt, mismatched, or invariant-violating artifact: evict it and

@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -62,7 +64,7 @@ void Router::stop() {
   // period — new ones are refused once `stopping_` is up — then every
   // connection is cut (idle clients immediately, stragglers forcibly),
   // which unwinds the serving threads through a ServeError.
-  std::vector<Thread> client_threads;
+  std::vector<ClientThread> client_threads;
   {
     MutexLock lock(mutex_);
     const auto deadline =
@@ -81,8 +83,8 @@ void Router::stop() {
     client_threads = std::move(client_threads_);
     client_threads_.clear();
   }
-  for (Thread& thread : client_threads) {
-    if (thread.joinable()) thread.join();
+  for (ClientThread& client : client_threads) {
+    if (client.thread.joinable()) client.thread.join();
   }
 
   listener_.close();
@@ -109,26 +111,39 @@ void Router::accept_loop() {
     if (!socket.has_value()) break;
     connections_accepted_.fetch_add(1);
     auto channel = std::make_shared<serve::LineChannel>(std::move(*socket));
-    MutexLock lock(mutex_);
-    if (stopping_.load()) break;  // raced with stop(): drop, don't spawn
-    ++active_connections_;
-    live_channels_.push_back(channel);
-    // Thread-per-connection: the router holds no compiler state, so a
-    // connection's cost is one mostly-blocked thread — exited threads are
-    // reclaimed wholesale at stop(). Expired channel entries are swept
-    // here so the vectors track connection churn, not history.
-    live_channels_.erase(
-        std::remove_if(live_channels_.begin(), live_channels_.end(),
-                       [](const std::weak_ptr<serve::LineChannel>& weak) {
-                         return weak.expired();
-                       }),
-        live_channels_.end());
-    client_threads_.emplace_back(
-        [this, channel] { serve_connection(channel); });
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    std::vector<ClientThread> finished;
+    {
+      MutexLock lock(mutex_);
+      if (stopping_.load()) break;  // raced with stop(): drop, don't spawn
+      ++active_connections_;
+      live_channels_.push_back(channel);
+      // Thread-per-connection: the router holds no compiler state, so a
+      // connection's cost is one mostly-blocked thread. Expired channels
+      // and finished threads are swept here so the vectors track
+      // connection churn, not history.
+      live_channels_.erase(
+          std::remove_if(live_channels_.begin(), live_channels_.end(),
+                         [](const std::weak_ptr<serve::LineChannel>& weak) {
+                           return weak.expired();
+                         }),
+          live_channels_.end());
+      const auto running = std::partition(
+          client_threads_.begin(), client_threads_.end(),
+          [](const ClientThread& client) { return !client.done->load(); });
+      std::move(running, client_threads_.end(), std::back_inserter(finished));
+      client_threads_.erase(running, client_threads_.end());
+      client_threads_.push_back(ClientThread{
+          Thread([this, channel, done] { serve_connection(channel, done); }),
+          done});
+    }
+    // Outside the lock: a finished thread is at most returning.
+    for (ClientThread& client : finished) client.thread.join();
   }
 }
 
-void Router::serve_connection(std::shared_ptr<serve::LineChannel> channel) {
+void Router::serve_connection(std::shared_ptr<serve::LineChannel> channel,
+                              std::shared_ptr<std::atomic<bool>> done) {
   try {
     while (std::optional<std::string> line = channel->read_line()) {
       if (line->empty()) continue;
@@ -140,7 +155,18 @@ void Router::serve_connection(std::shared_ptr<serve::LineChannel> channel) {
   channel.reset();  // drop our ref before signalling the drain
   MutexLock lock(mutex_);
   --active_connections_;
+  done->store(true);
   drained_.notify_all();
+}
+
+std::size_t Router::live_connections() const {
+  MutexLock lock(mutex_);
+  return active_connections_;
+}
+
+std::size_t Router::thread_handles() const {
+  MutexLock lock(mutex_);
+  return client_threads_.size();
 }
 
 void Router::dispatch_line(serve::LineChannel& client,
@@ -304,7 +330,9 @@ Router::Forward Router::forward(Backend& backend, const std::string& line,
     upstream.write_line(line);
 
     while (std::optional<std::string> reply = upstream.read_line()) {
-      const Json frame = Json::parse(*reply);
+      // Only the header drives relaying: the rest of the frame (a
+      // megabyte-sized artifact, say) is validated but never built.
+      const Json frame = Json::parse_fields(*reply, {"type", "index"});
       const std::string type = frame.get("type", std::string());
       // Retry bookkeeping: a scenario whose outcome was already relayed
       // from a backend that later died must not reach the client twice

@@ -98,6 +98,12 @@ class Router {
   /// requests, retries, failures}, ...], ...}.
   Json stats_payload() const;
 
+  /// Client connections being served right now, and the serving-thread
+  /// handles held: the live ones plus those that finished since the last
+  /// accept (each accept joins and drops every finished one).
+  std::size_t live_connections() const;
+  std::size_t thread_handles() const;
+
  private:
   struct Backend {
     explicit Backend(std::string endpoint_in)
@@ -116,7 +122,10 @@ class Router {
   enum class Forward { kRelayed, kBackendDied };
 
   void accept_loop();
-  void serve_connection(std::shared_ptr<serve::LineChannel> channel);
+  /// `done` is raised, under mutex_, once the thread no longer touches
+  /// the router: accept_loop may then join it without waiting.
+  void serve_connection(std::shared_ptr<serve::LineChannel> channel,
+                        std::shared_ptr<std::atomic<bool>> done);
   void dispatch_line(serve::LineChannel& client, const std::string& line);
   void handle_compile(serve::LineChannel& client, Json json);
   void forward_compile(serve::LineChannel& client, Json json);
@@ -142,7 +151,11 @@ class Router {
 
   mutable Mutex mutex_;
   CondVar drained_;
-  std::vector<Thread> client_threads_ PIMCOMP_GUARDED_BY(mutex_);
+  struct ClientThread {
+    Thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+  std::vector<ClientThread> client_threads_ PIMCOMP_GUARDED_BY(mutex_);
   /// Live client channels, for cutting off stragglers after the drain
   /// grace. Weak: the serving thread owns the channel's lifetime.
   std::vector<std::weak_ptr<serve::LineChannel>> live_channels_

@@ -540,6 +540,23 @@ Json to_json(ArtifactMessage message) {
   return json;
 }
 
+std::string artifact_frame_line(std::int64_t id, const std::string& label,
+                                int index, const std::string& artifact_text) {
+  // Member order and spelling follow to_json(ArtifactMessage) above.
+  std::string line;
+  line.reserve(artifact_text.size() + label.size() + 64);
+  line += R"({"type":"artifact","id":)";
+  json_append_number(line, static_cast<double>(id));
+  line += R"(,"scenario":)";
+  json_append_string(line, label);
+  line += R"(,"index":)";
+  json_append_number(line, index);
+  line += R"(,"artifact":)";
+  line += artifact_text;
+  line += '}';
+  return line;
+}
+
 Json to_json(const DoneMessage& message) {
   Json json = Json::object();
   json["type"] = "done";

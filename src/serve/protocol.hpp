@@ -260,6 +260,12 @@ Json to_json(const EventMessage& message);
 /// (or std::move) so a megabyte-sized artifact is never deep-copied.
 Json to_json(OutcomeMessage message);
 Json to_json(ArtifactMessage message);
+/// The artifact frame for a stream already written as text
+/// (InstructionStream::to_json_text()), spliced in without a DOM: the
+/// bytes of to_json(ArtifactMessage{id, label, index,
+/// Json::parse(artifact_text)}).dump(-1), without the trailing newline.
+std::string artifact_frame_line(std::int64_t id, const std::string& label,
+                                int index, const std::string& artifact_text);
 Json to_json(const DoneMessage& message);
 Json to_json(const ErrorMessage& message);
 Json to_json(const PongMessage& message);

@@ -99,7 +99,9 @@ struct CompileServer::RequestState {
   /// Lowered instruction streams keyed like `ready`; emitted immediately
   /// after their scenario's outcome frame so the wire contract stays
   /// "events*, (outcome artifact?)* in index order, done".
-  std::map<std::size_t, Json> ready_artifacts PIMCOMP_GUARDED_BY(mutex);
+  /// Each holds the stream's InstructionStream::to_json_text(), spliced
+  /// into its frame as is.
+  std::map<std::size_t, std::string> ready_artifacts PIMCOMP_GUARDED_BY(mutex);
   std::size_t next_emit PIMCOMP_GUARDED_BY(mutex) = 0;
   std::size_t completed PIMCOMP_GUARDED_BY(mutex) = 0;
   int ok_count PIMCOMP_GUARDED_BY(mutex) = 0;
@@ -211,9 +213,15 @@ void CompileServer::JobRouter::route(const PipelineEvent& event) {
 
 void CompileServer::enqueue_frame(Connection& connection, const Json& json,
                                   bool advisory) {
+  enqueue_line(connection, [&json] { return compact(json); }, advisory);
+}
+
+void CompileServer::enqueue_line(Connection& connection,
+                                 const std::function<std::string()>& build,
+                                 bool advisory) {
   std::string line;
   try {
-    line = compact(json);
+    line = build();
   } catch (const std::exception&) {
     // Serialization failure (allocation) of a mandatory frame: the stream
     // would be missing a frame the client waits on, so the connection is
@@ -767,7 +775,7 @@ void CompileServer::on_job_complete(
   message.id = request->id;
   message.label = outcome.label;
   message.index = outcome.index;
-  std::optional<Json> artifact;
+  std::optional<std::string> artifact;
   // This runs on a session pool worker, where an escaping exception would
   // terminate the whole daemon (ThreadPool's documented task contract) —
   // so serialization failures of any type degrade to an error outcome.
@@ -777,7 +785,7 @@ void CompileServer::on_job_complete(
       message.compile = compile_result_to_json(*outcome.result);
       if (request->protocol_version >= 4 &&
           outcome.result->stream != nullptr) {
-        artifact = outcome.result->stream->to_json();
+        artifact = outcome.result->stream->to_json_text();
       }
       // Simulation is skipped for a broken connection: nobody will receive
       // the frame, and the cycles belong to live clients.
@@ -825,7 +833,7 @@ void CompileServer::flush_outcomes(
   MutexLock emit_lock(request->emit_mutex);
   for (;;) {
     std::optional<OutcomeMessage> message;
-    std::optional<Json> artifact;
+    std::optional<std::string> artifact;
     bool emit_done = false;
     int ok_count = 0;
     int error_count = 0;
@@ -868,10 +876,13 @@ void CompileServer::flush_outcomes(
         enqueue_frame(connection, to_json(std::move(*message)),
                       /*advisory=*/false);
         if (artifact.has_value()) {
-          enqueue_frame(connection,
-                        to_json(ArtifactMessage{request->id, label, index,
-                                                std::move(*artifact)}),
-                        /*advisory=*/false);
+          enqueue_line(
+              connection,
+              [&] {
+                return artifact_frame_line(request->id, label, index,
+                                           *artifact);
+              },
+              /*advisory=*/false);
         }
       }
       continue;  // keep draining frames that are already in order

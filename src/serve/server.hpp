@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -181,11 +182,15 @@ class CompileServer {
   void reader_loop(Reader& reader);
   static void wake_reader(Reader& reader);
 
-  /// Serializes `json` onto the connection's outbound queue (the pinned
-  /// reader pumps it with non-blocking sends). Advisory frames (progress
-  /// events) are dropped when the queue is already deep; mandatory frames
-  /// past the hard cap mark the connection broken. Never blocks, never
-  /// throws.
+  /// Builds one frame line with `build` and puts it on the connection's
+  /// outbound queue (the pinned reader pumps it with non-blocking sends).
+  /// Advisory frames (progress events) are dropped when the queue is
+  /// already deep; mandatory frames past the hard cap, or whose `build`
+  /// throws, mark the connection broken. Never blocks, never throws.
+  static void enqueue_line(Connection& connection,
+                           const std::function<std::string()>& build,
+                           bool advisory);
+  /// enqueue_line of `json`'s compact serialization.
   static void enqueue_frame(Connection& connection, const Json& json,
                             bool advisory);
   /// Drains as much outbound as the socket accepts right now (reader

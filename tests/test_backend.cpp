@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,107 @@ TEST(InstructionStream, EveryZooModelLowersAndRoundTrips) {
         stream.backend, stream.mapping_key);
     EXPECT_EQ(relowered.content_fingerprint(), stream.content_fingerprint());
   }
+}
+
+// ---------------------------------------------------------------------------
+// The DOM-free text writer.
+// ---------------------------------------------------------------------------
+
+/// The artifact built node by node through the Json API, the way the
+/// encoder worked before the text writer: the reference the writer's bytes
+/// are held to.
+Json reference_dom(const InstructionStream& stream) {
+  const auto int64s = [](const std::vector<std::int64_t>& values) {
+    Json array = Json::array();
+    for (const std::int64_t v : values) array.push_back(v);
+    return array;
+  };
+  Json json = Json::object();
+  json["isa"] = kIsaVersion;
+  json["backend"] = stream.backend;
+  json["mapping_key"] = cache_key_hex(stream.mapping_key);
+  json["mode"] =
+      stream.mode == PipelineMode::kHighThroughput ? "ht" : "ll";
+  json["parallelism"] = stream.parallelism_degree;
+  json["ag_count"] = stream.ag_count;
+  json["total_ops"] = stream.total_ops;
+  json["spill_bytes"] = int64s(stream.spill_bytes);
+  json["peak_local_bytes"] = int64s(stream.peak_local_bytes);
+  Json cores = Json::array();
+  for (const std::vector<Instruction>& program : stream.cores) {
+    Json rows = Json::array();
+    for (const Instruction& inst : program) {
+      Json row = Json::array();
+      row.push_back(to_string(inst.opcode));
+      for (const std::int64_t field :
+           {std::int64_t{inst.node}, std::int64_t{inst.ag},
+            std::int64_t{inst.window}, inst.bytes, inst.elements,
+            std::int64_t{inst.peer}, std::int64_t{inst.tag},
+            std::int64_t{inst.xbars}, inst.local_usage}) {
+        row.push_back(field);
+      }
+      rows.push_back(std::move(row));
+    }
+    cores.push_back(std::move(rows));
+  }
+  json["cores"] = std::move(cores);
+  return json;
+}
+
+TEST(InstructionStream, TextWriterMatchesTheDomOnEveryZooModelInBothModes) {
+  for (const std::string& model : zoo::model_names()) {
+    for (const PipelineMode mode :
+         {PipelineMode::kHighThroughput, PipelineMode::kLowLatency}) {
+      SCOPED_TRACE(model + "/" + to_string(mode));
+      Graph graph = zoo::build(model, small_input(model));
+      HardwareConfig hw = fitted(graph);
+      CompileOptions options = tiny_options("isa-json");
+      options.mode = mode;
+      const CompileResult result =
+          Compiler(std::move(graph), hw).compile(options);
+      ASSERT_NE(result.stream, nullptr);
+      const std::string text = result.stream->to_json_text();
+      EXPECT_EQ(text, result.stream->to_json().dump(-1));
+      EXPECT_EQ(text, reference_dom(*result.stream).dump(-1));
+    }
+  }
+}
+
+TEST(InstructionStream, TextWriterMatchesTheDomOnExtremeIntegers) {
+  // Not a valid program (the writer never validates): every integer field
+  // holds -1, 0 or a value a double cannot represent exactly.
+  constexpr std::int64_t kAbove53 = (std::int64_t{1} << 53) + 1;
+  InstructionStream stream;
+  stream.backend = "isa-json";
+  stream.mapping_key = 0xfedcba9876543210ULL;
+  stream.mode = PipelineMode::kHighThroughput;
+  stream.parallelism_degree = 0;
+  stream.ag_count = -1;
+  stream.total_ops = kAbove53;
+  Instruction extreme;
+  extreme.opcode = Opcode::kSend;
+  extreme.node = -1;
+  extreme.ag = 0;
+  extreme.window = std::numeric_limits<std::int32_t>::max();
+  extreme.bytes = kAbove53;
+  extreme.elements = std::numeric_limits<std::int64_t>::max();
+  extreme.peer = std::numeric_limits<std::int32_t>::min();
+  extreme.tag = -1;
+  extreme.xbars = 0;
+  extreme.local_usage = -kAbove53 - 2;
+  Instruction plain;  // every field at its default: -1s and 0s
+  stream.cores = {{extreme, plain}, {}, {plain}};
+  stream.spill_bytes = {0, -1, kAbove53};
+  stream.peak_local_bytes = {std::numeric_limits<std::int64_t>::min(), 0,
+                             (std::int64_t{1} << 62) + 7};
+
+  const std::string text = stream.to_json_text();
+  EXPECT_EQ(text, reference_dom(stream).dump(-1));
+  EXPECT_EQ(text, stream.to_json().dump(-1));
+  EXPECT_NE(text.find("\"mapping_key\":\"fedcba9876543210\""),
+            std::string::npos);
+  EXPECT_NE(text.find("[],[[\"VALU\",-1,-1,-1,0,0,-1,0,0,-1]]]}"),
+            std::string::npos);
 }
 
 TEST(InstructionStream, RejectsAForeignMappingKey) {

@@ -11,7 +11,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -424,6 +426,74 @@ TEST(TieredStoreTest, ReadsThroughInTierOrder) {
   promoted.decoded = std::make_shared<const int>(42);
   tiered->store(1, promoted);
   EXPECT_STREQ(tiered->load(1)->source, cache_sources::kMemory);
+}
+
+/// A tier that holds what it is given and counts the store() calls it
+/// receives; a remote tier's store() is a cache_put to every peer.
+class CountingTier final : public CacheStore {
+ public:
+  explicit CountingTier(const char* source) : source_(source) {}
+
+  const char* name() const override { return source_; }
+  std::optional<CacheHit> load(std::uint64_t key) override {
+    const auto it = held_.find(key);
+    if (it == held_.end()) return std::nullopt;
+    return CacheHit{it->second, source_};
+  }
+  const char* store(std::uint64_t key, const CacheEntry& entry) override {
+    ++stores;
+    return held_.emplace(key, entry).second ? source_ : nullptr;
+  }
+  void erase(std::uint64_t key) override { held_.erase(key); }
+  std::uint64_t purge() override {
+    const std::uint64_t dropped = held_.size();
+    held_.clear();
+    return dropped;
+  }
+  CacheStoreStats stats() const override { return {}; }
+
+  int stores = 0;
+
+ private:
+  const char* source_;
+  std::map<std::uint64_t, CacheEntry> held_;
+};
+
+TEST(TieredStoreTest, PromotionFillsOnlyTheTiersAboveTheHit) {
+  const char* const sources[] = {cache_sources::kMemory, cache_sources::kDisk,
+                                 cache_sources::kRemote};
+  for (std::size_t k = 0; k < 3; ++k) {
+    SCOPED_TRACE(sources[k]);
+    std::vector<CountingTier*> counting;
+    std::vector<std::unique_ptr<CacheStore>> tiers;
+    for (const char* source : sources) {
+      auto tier = std::make_unique<CountingTier>(source);
+      counting.push_back(tier.get());
+      tiers.push_back(std::move(tier));
+    }
+    TieredStore tiered(std::move(tiers));
+    tiered.tier(k).store(7, artifact_entry(7));
+    counting[k]->stores = 0;
+
+    std::optional<CacheHit> hit = tiered.load(7);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->tier, k);
+    EXPECT_STREQ(hit->source, sources[k]);
+    hit->entry.decoded = std::make_shared<const int>(7);
+    EXPECT_STREQ(tiered.promote(7, hit->entry, hit->tier),
+                 k == 0 ? nullptr : sources[k - 1]);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(counting[i]->stores, i < k ? 1 : 0) << "tier " << i;
+    }
+    // The promoted copy now serves from the top.
+    EXPECT_EQ(tiered.load(7)->tier, 0u);
+
+    // A computed result still writes through every tier, peers included.
+    tiered.store(8, artifact_entry(8));
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(counting[i]->stores, (i < k ? 1 : 0) + 1) << "tier " << i;
+    }
+  }
 }
 
 TEST(TieredStoreTest, EraseAndPurgeCoverEveryTier) {

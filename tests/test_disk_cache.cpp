@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -477,6 +478,62 @@ TEST(DiskCache, EvictionRacingConcurrentLoadMtimeBumpKeepsHotKeyAndSaneState) {
   EXPECT_LE(stats.bytes, config.max_bytes);
   EXPECT_LE(stats.entries, 3u);
   EXPECT_GT(stats.evictions, 0u);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(DiskCache, StoreWritesAnEnvelopedArtifactAsIsAndStampsOthersOnACopy) {
+  constexpr std::uint64_t kKey = 0x00c0ffee00c0ffeeULL;
+  const auto artifact = [](const Json& schema, const Json& key) {
+    Json json = Json::object();
+    json["schema"] = schema;
+    json["key"] = key;
+    json["payload"] = Json::array();
+    json["payload"].push_back(1.5);
+    json["payload"].push_back("x");
+    return json;
+  };
+  CacheEntry enveloped;
+  enveloped.artifact = artifact(kCacheSchemaVersion, cache_key_hex(kKey));
+  CacheEntry mismatched;
+  mismatched.artifact = artifact(kCacheSchemaVersion, cache_key_hex(kKey + 1));
+  CacheEntry off_schema;
+  off_schema.artifact =
+      artifact(kCacheSchemaVersion + 0.5, cache_key_hex(kKey));
+  const std::string mismatched_before = mismatched.artifact.dump(-1);
+  const std::string off_schema_before = off_schema.artifact.dump(-1);
+
+  // Stored as is, or stamped in place on a copy: the same bytes on disk.
+  std::vector<std::string> files;
+  for (const CacheEntry* entry : {&enveloped, &mismatched, &off_schema}) {
+    TempDir dir;
+    DiskStore store(cache_at(dir.path));
+    ASSERT_STREQ(store.store(kKey, *entry), cache_sources::kDisk);
+    files.push_back(file_bytes(store.artifact_path(kKey)));
+    EXPECT_TRUE(store.load(kKey).has_value());
+  }
+  EXPECT_EQ(files[0], enveloped.artifact.dump(-1) + "\n");
+  EXPECT_EQ(files[1], files[0]);
+  EXPECT_EQ(files[2], files[0]);
+  // The caller's entries keep what they carried.
+  EXPECT_EQ(mismatched.artifact.dump(-1), mismatched_before);
+  EXPECT_EQ(off_schema.artifact.dump(-1), off_schema_before);
+
+  // An artifact without an envelope gets one appended, on a copy.
+  CacheEntry bare;
+  bare.artifact = Json::object();
+  bare.artifact["payload"] = 2;
+  TempDir dir;
+  DiskStore store(cache_at(dir.path));
+  ASSERT_STREQ(store.store(kKey, bare), cache_sources::kDisk);
+  EXPECT_EQ(file_bytes(store.artifact_path(kKey)),
+            R"({"payload":2,"schema":)" + std::to_string(kCacheSchemaVersion) +
+                R"(,"key":")" + cache_key_hex(kKey) + "\"}\n");
+  EXPECT_EQ(bare.artifact.dump(-1), R"({"payload":2})");
 }
 
 }  // namespace

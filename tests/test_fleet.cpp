@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include "cache/cache_config.hpp"
 #include "cache/cache_store.hpp"
 #include "cache/disk_store.hpp"
+#include "cache/remote_tier.hpp"
 #include "core/compile_report.hpp"
 #include "core/session.hpp"
 #include "core/trace.hpp"
@@ -297,6 +299,83 @@ TEST(FleetEndToEnd, FreshSessionServesMappingFromPeerWithZeroMappingStages) {
 }
 
 // ---------------------------------------------------------------------------
+// Promotion never pushes a hit back to the peers.
+// ---------------------------------------------------------------------------
+
+/// store() calls a session makes on its remote tier: each is a cache_put
+/// to every peer.
+std::atomic<int> remote_tier_stores{0};
+
+/// A real RemoteStore that counts the store() calls it forwards.
+class CountingRemoteStore final : public CacheStore {
+ public:
+  explicit CountingRemoteStore(const CacheConfig& config) : inner_(config) {}
+
+  const char* name() const override { return inner_.name(); }
+  std::optional<CacheHit> load(std::uint64_t key) override {
+    return inner_.load(key);
+  }
+  const char* store(std::uint64_t key, const CacheEntry& entry) override {
+    remote_tier_stores.fetch_add(1);
+    return inner_.store(key, entry);
+  }
+  void erase(std::uint64_t key) override { inner_.erase(key); }
+  std::uint64_t purge() override { return inner_.purge(); }
+  CacheStoreStats stats() const override { return inner_.stats(); }
+
+ private:
+  RemoteStore inner_;
+};
+
+TEST(FleetEndToEnd, RemoteAndDiskHitsSendNoCachePutComputedResultsDo) {
+  // Sessions built in this test get the counting tier; the registered
+  // factory comes back when the test ends.
+  struct FactorySwap {
+    RemoteTierFactory previous = register_remote_tier_factory(
+        +[](const CacheConfig& config) -> std::unique_ptr<CacheStore> {
+          return std::make_unique<CountingRemoteStore>(config);
+        });
+    ~FactorySwap() { register_remote_tier_factory(previous); }
+  } swap;
+  ASSERT_NE(swap.previous, nullptr);
+  remote_tier_stores.store(0);
+
+  TempDir peer_dir;
+  TempDir local_dir;
+  CompileServer peer(daemon_options("put", peer_dir.path));
+  peer.start();
+  CompileClient client = CompileClient::connect(peer.endpoint());
+  const CompileReply warm = client.submit(inline_graph_request({3}));
+  ASSERT_EQ(warm.outcomes.size(), 1u);
+  ASSERT_TRUE(warm.outcomes[0].ok) << warm.outcomes[0].error;
+
+  CacheConfig config;
+  config.dir = local_dir.path;
+  config.peers = {peer.endpoint()};
+  {
+    // Remote hit: promoted into memory and the local disk only.
+    CompilerSession session(small_cnn(), small_hw(), config);
+    session.compile(tiny_options(3));
+    EXPECT_EQ(session.mapping_remote_hits(), 1u);
+    EXPECT_EQ(remote_tier_stores.load(), 0);
+    EXPECT_EQ(DiskStore(config).entry_count(), 1u);
+  }
+  {
+    // Disk hit in a fresh session: promoted into memory only.
+    CompilerSession session(small_cnn(), small_hw(), config);
+    session.compile(tiny_options(3));
+    EXPECT_EQ(session.mapping_disk_hits(), 1u);
+    EXPECT_EQ(session.mapping_remote_hits(), 0u);
+    EXPECT_EQ(remote_tier_stores.load(), 0);
+
+    // A freshly computed result still writes through to the peers.
+    session.compile(tiny_options(4));
+    EXPECT_EQ(remote_tier_stores.load(), 1);
+  }
+  peer.stop();
+}
+
+// ---------------------------------------------------------------------------
 // Router: sharding, relay, retry, stats.
 // ---------------------------------------------------------------------------
 
@@ -396,6 +475,35 @@ TEST(RouterTest, AllBackendsDeadIsARequestError) {
 
   CompileClient client = CompileClient::connect(router.endpoint());
   EXPECT_THROW(client.submit(inline_graph_request({2})), ServeError);
+  router.stop();
+}
+
+TEST(RouterTest, FinishedConnectionThreadsAreReapedAtAccept) {
+  RouterOptions options;
+  options.unix_path = unique_socket_path("churn");
+  options.backends = {"unix:/tmp/pimcomp-fleet-dead-1.sock"};
+  options.health_interval_seconds = 0;
+  Router router(options);
+  router.start();
+
+  for (int i = 0; i < 256; ++i) {
+    CompileClient client = CompileClient::connect(router.endpoint());
+    ASSERT_TRUE(client.ping());
+  }  // each client disconnects as it goes out of scope
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (router.live_connections() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(router.live_connections(), 0u);
+
+  // Every serving thread has finished, so the next accept joins them all.
+  CompileClient last = CompileClient::connect(router.endpoint());
+  ASSERT_TRUE(last.ping());
+  EXPECT_EQ(router.connections_accepted(), 257u);
+  EXPECT_EQ(router.live_connections(), 1u);
+  EXPECT_LE(router.thread_handles(), router.live_connections());
   router.stop();
 }
 

@@ -5,6 +5,12 @@
 #include <cfloat>
 #include <limits>
 #include <string>
+#include <vector>
+
+#include "backend/instruction_stream.hpp"
+#include "core/session.hpp"
+#include "graph/builder.hpp"
+#include "serve/protocol.hpp"
 
 namespace pimcomp {
 namespace {
@@ -295,6 +301,111 @@ TEST(JsonParse, DuplicateKeyOverwritesInFirstPosition) {
 TEST(JsonParse, WhitespaceIsTheCLocaleSet) {
   EXPECT_EQ(Json::parse(" \t\n\v\f\r[1]\r\n").size(), 1u);
   EXPECT_THROW(Json::parse("\xa0[1]"), JsonError);
+}
+
+// ---------------------------------------------------------------------------
+// parse_fields: the header-only read the fleet router relays frames with.
+// ---------------------------------------------------------------------------
+
+/// A real artifact frame: a small network lowered through isa-json.
+std::string real_artifact_frame() {
+  GraphBuilder b("json-fields-cnn", {3, 16, 16});
+  NodeId x = b.input();
+  x = b.conv_relu(x, 8, 3, /*stride=*/1, /*padding=*/1, "conv1");
+  x = b.max_pool(x, 2, 2, 0, "pool1");
+  x = b.fc(b.flatten(x, "flatten"), 10, "classifier");
+  Graph graph = b.build();
+  const HardwareConfig hw =
+      fit_core_count(graph, HardwareConfig::puma_default(), 3.0);
+  CompileOptions options;
+  options.mode = PipelineMode::kLowLatency;
+  options.ga.population = 4;
+  options.ga.generations = 2;
+  options.backend = "isa-json";
+  const CompileResult result = Compiler(std::move(graph), hw).compile(options);
+  return serve::artifact_frame_line(7, "P=20", 3,
+                                    result.stream->to_json_text());
+}
+
+/// parse_fields(text, {"type", "index"}) must throw exactly when (and with
+/// the message) parse(text) does, and keep exactly parse's type/index.
+void expect_fields_match_full_parse(const std::string& text) {
+  SCOPED_TRACE(text.size() > 160 ? text.substr(0, 160) + "..." : text);
+  std::string full_error, fields_error;
+  Json full, fields;
+  try {
+    full = Json::parse(text);
+  } catch (const JsonError& e) {
+    full_error = e.what();
+  }
+  try {
+    fields = Json::parse_fields(text, {"type", "index"});
+  } catch (const JsonError& e) {
+    fields_error = e.what();
+  }
+  EXPECT_EQ(fields_error, full_error);
+  if (!full_error.empty()) return;
+  if (!full.is_object()) {
+    EXPECT_TRUE(fields.is_null());
+    return;
+  }
+  Json kept = Json::object();
+  for (const auto& [key, value] : full.items()) {
+    if (key == "type" || key == "index") kept[key] = value;
+  }
+  EXPECT_EQ(fields.dump(-1), kept.dump(-1));
+}
+
+TEST(JsonParseFields, AcceptsAndRejectsExactlyWhatParseDoes) {
+  std::vector<std::string> corpus;
+  const std::string frame = real_artifact_frame();
+  ASSERT_GT(frame.size(), 97u * 4);
+  corpus.push_back(frame);
+  for (std::size_t n = 0; n < frame.size(); n += 97) {
+    corpus.push_back(frame.substr(0, n));
+  }
+  for (const char* bad :
+       {"1-2", "1.5e", "1e5.3", "01", "-", ".5", "5.", "+1", "0x10", "1e400",
+        "-inf", "nan", "1E"}) {
+    const std::string token = bad;
+    corpus.push_back(R"({"type":"artifact","junk":)" + token +
+                     R"(,"index":1})");
+    corpus.push_back(R"({"type":"artifact","index":)" + token + "}");
+    corpus.push_back(R"({"skip":[0,{"a":)" + token + R"(}],"type":"x"})");
+  }
+  // Nesting inside a skipped member counts toward kMaxDepth as in parse():
+  // the root object is level 1, so 511 arrays reach the cap, 512 pass it.
+  for (const int arrays : {Json::kMaxDepth - 1, Json::kMaxDepth}) {
+    const auto n = static_cast<std::size_t>(arrays);
+    const std::string deep = std::string(n, '[') + std::string(n, ']');
+    corpus.push_back(R"({"type":"t","deep":)" + deep + "}");
+    corpus.push_back(R"({"type":"t","index":)" + deep + "}");
+  }
+  // Duplicated keys: the last value wins in the first position, kept or
+  // skipped.
+  corpus.push_back(R"({"type":"outcome","index":1,"type":"artifact"})");
+  corpus.push_back(R"({"x":{"a":1,"a":2},"type":"t","x":3})");
+  // Escapes in keys and skipped strings; non-object roots; trailing bytes.
+  corpus.push_back(R"({"ty\u0070e":"artifact","s":"\"\\\/\b\f\n\r\t\u00e9"})");
+  corpus.push_back(R"({"s":"bad \q escape","type":"t"})");
+  corpus.push_back(R"({"s":"bad \u12G4","type":"t"})");
+  for (const char* text :
+       {"[1,2]", "\"type\"", "5", "null", "true", "", "   ", "{}",
+        R"({"type":"t"} x)", R"({"type":"t",})", R"({"type" "t"})",
+        R"({"type":"t","index":2 "x":1})", R"({"type":tru})",
+        R"({"a":[1,,2],"type":"t"})", " \t{\"index\" : 4 }\n"}) {
+    corpus.push_back(text);
+  }
+  for (const std::string& text : corpus) expect_fields_match_full_parse(text);
+}
+
+TEST(JsonParseFields, KeepsOnlyTheNamedRootMembers) {
+  const Json fields = Json::parse_fields(
+      R"({"type":"artifact","id":3,"index":2,"artifact":{"index":9}})",
+      {"type", "index"});
+  EXPECT_EQ(fields.dump(-1), R"({"type":"artifact","index":2})");
+  EXPECT_EQ(Json::parse_fields(R"({"a":1})", {"type"}).dump(-1), "{}");
+  EXPECT_TRUE(Json::parse_fields("[1]", {"type"}).is_null());
 }
 
 class JsonRoundTrip : public ::testing::TestWithParam<std::string> {};

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "backend/instruction_stream.hpp"
 #include "cache/cache_store.hpp"
 #include "core/session.hpp"
 #include "serve/net.hpp"
@@ -485,6 +486,35 @@ TEST(ServeProtocol, ArtifactFrameRoundTrips) {
   EXPECT_EQ(artifact.label, "P=4");
   EXPECT_EQ(artifact.index, 2);
   EXPECT_EQ(artifact.artifact.get("isa", 0), 1);
+}
+
+TEST(ServeProtocol, ArtifactFrameLineSplicesTheStreamTextByteIdentically) {
+  InstructionStream stream;
+  stream.backend = "isa-json";
+  stream.mapping_key = 0x0123456789abcdefULL;
+  stream.mode = PipelineMode::kLowLatency;
+  stream.ag_count = 1;
+  stream.total_ops = 2;
+  Instruction mvm;
+  mvm.opcode = Opcode::kMvm;
+  mvm.ag = 0;
+  mvm.bytes = 4096;
+  stream.cores = {{mvm}, {Instruction{}}};
+  stream.spill_bytes = {0, 128};
+  stream.peak_local_bytes = {4096, 0};
+  const std::string text = stream.to_json_text();
+
+  for (const std::string& label :
+       {std::string("P=4"), std::string("quote\" slash\\ tab\t nl\n\x01"),
+        std::string()}) {
+    SCOPED_TRACE(label);
+    for (const std::int64_t id :
+         {std::int64_t{0}, std::int64_t{21}, std::int64_t{1} << 60}) {
+      EXPECT_EQ(serve::artifact_frame_line(id, label, 3, text),
+                serve::to_json(ArtifactMessage{id, label, 3, stream.to_json()})
+                    .dump(-1));
+    }
+  }
 }
 
 TEST(ServeProtocol, DoneFrameGatesV4FieldsOnRequesterVersion) {
