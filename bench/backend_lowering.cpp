@@ -8,8 +8,8 @@
 // artifact frames add on top of a plain compile. The writer's text must
 // equal the DOM's dump byte for byte (the bench exits non-zero otherwise).
 // A final column executes the stream through the `sim` backend against the
-// legacy simulator on the original schedule; the two reports must stay
-// bit-identical (the bench aborts otherwise).
+// simulator run on the original schedule; both run the one Simulator, so
+// the two reports must stay bit-identical (the bench aborts otherwise).
 //
 // PIMCOMP_BENCH_JSON=path writes the measurements as a machine-readable
 // artifact (one row per model), same idiom as table2_compile_time.
@@ -122,8 +122,8 @@ int main() {
     const double legacy_s = seconds_since(t0);
 
     if (backend_sim.to_string() != legacy.to_string()) {
-      std::cerr << name << ": sim backend diverged from the legacy "
-                << "simulator\n";
+      std::cerr << name << ": the lowered stream simulated differently "
+                << "from its schedule\n";
       return 1;
     }
 
@@ -158,8 +158,8 @@ int main() {
   table.print();
   std::cout << "\nLowering and every codec leg are linear in the "
                "instruction count and stay far below one mapping "
-               "generation; the sim backend's interpreter matches the "
-               "legacy simulator bit for bit.\n";
+               "generation; the sim backend reports on the stream what "
+               "the simulator reports on the schedule, bit for bit.\n";
 
   if (const char* json_path = std::getenv("PIMCOMP_BENCH_JSON")) {
     Json out = Json::object();

@@ -1,5 +1,7 @@
 #include "backend/instruction_stream.hpp"
 
+#include <iterator>
+#include <limits>
 #include <utility>
 
 #include "cache/cache_store.hpp"
@@ -34,22 +36,54 @@ PipelineMode mode_from_name(const std::string& name) {
                                "'ll', got '" + name + "'");
 }
 
-Instruction instruction_from_json(const Json& row) {
+/// The ISA mnemonics, one per OpKind in enum order. Part of the schema:
+/// renaming one requires a kIsaVersion bump.
+constexpr const char* kMnemonics[] = {"MVM",  "VALU", "SEND",
+                                      "RECV", "LOAD", "STORE"};
+static_assert(std::size(kMnemonics) ==
+              static_cast<std::size_t>(OpKind::kStoreGlobal) + 1);
+
+const char* mnemonic(OpKind kind) {
+  return kMnemonics[static_cast<std::size_t>(kind)];
+}
+
+OpKind kind_from_mnemonic(const std::string& name) {
+  for (std::size_t k = 0; k < std::size(kMnemonics); ++k) {
+    if (name == kMnemonics[k]) return static_cast<OpKind>(k);
+  }
+  throw InstructionStreamError("unknown opcode mnemonic '" + name + "'");
+}
+
+/// Row field `i` for a 32-bit Operation field. A value that does not fit
+/// is refused: wrapped, 2^32 + 5 would pass validation as AG 5.
+std::int32_t int32_at(const Json& row, std::size_t i) {
+  const std::int64_t value = row.at(i).as_int();
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    throw InstructionStreamError("instruction row field " +
+                                 std::to_string(i) + " (" +
+                                 std::to_string(value) +
+                                 ") does not fit 32 bits");
+  }
+  return static_cast<std::int32_t>(value);
+}
+
+Operation operation_from_row(const Json& row) {
   if (!row.is_array() || row.size() != 10) {
     throw InstructionStreamError("instruction row must be a 10-tuple");
   }
-  Instruction inst;
-  inst.opcode = opcode_from_string(row.at(std::size_t(0)).as_string());
-  inst.node = static_cast<NodeId>(row.at(std::size_t(1)).as_int());
-  inst.ag = static_cast<std::int32_t>(row.at(std::size_t(2)).as_int());
-  inst.window = static_cast<std::int32_t>(row.at(std::size_t(3)).as_int());
-  inst.bytes = row.at(std::size_t(4)).as_int();
-  inst.elements = row.at(std::size_t(5)).as_int();
-  inst.peer = static_cast<std::int32_t>(row.at(std::size_t(6)).as_int());
-  inst.tag = static_cast<std::int32_t>(row.at(std::size_t(7)).as_int());
-  inst.xbars = static_cast<std::int32_t>(row.at(std::size_t(8)).as_int());
-  inst.local_usage = row.at(std::size_t(9)).as_int();
-  return inst;
+  Operation op;
+  op.kind = kind_from_mnemonic(row.at(std::size_t(0)).as_string());
+  op.node = int32_at(row, 1);
+  op.ag = int32_at(row, 2);
+  op.window = int32_at(row, 3);
+  op.bytes = row.at(std::size_t(4)).as_int();
+  op.elements = row.at(std::size_t(5)).as_int();
+  op.peer = int32_at(row, 6);
+  op.tag = int32_at(row, 7);
+  op.xbars = int32_at(row, 8);
+  op.local_usage = row.at(std::size_t(9)).as_int();
+  return op;
 }
 
 /// Appends `"name":`, opening the object before the first member.
@@ -74,18 +108,17 @@ void append_int64_array(std::string& out,
   out.push_back(']');
 }
 
-/// One Instruction as a compact 10-tuple. Field order is part of the
+/// One Operation as a compact 10-tuple. Field order is part of the
 /// schema — changing it requires a kIsaVersion bump:
-///   [opcode, node, ag, window, bytes, elements, peer, tag, xbars,
+///   [mnemonic, node, ag, window, bytes, elements, peer, tag, xbars,
 ///    local_usage]
-void append_instruction(std::string& out, const Instruction& inst) {
+void append_operation(std::string& out, const Operation& op) {
   out.push_back('[');
-  json_append_string(out, to_string(inst.opcode));
+  json_append_string(out, mnemonic(op.kind));
   for (const std::int64_t field :
-       {std::int64_t{inst.node}, std::int64_t{inst.ag},
-        std::int64_t{inst.window}, inst.bytes, inst.elements,
-        std::int64_t{inst.peer}, std::int64_t{inst.tag},
-        std::int64_t{inst.xbars}, inst.local_usage}) {
+       {std::int64_t{op.node}, std::int64_t{op.ag}, std::int64_t{op.window},
+        op.bytes, op.elements, std::int64_t{op.peer}, std::int64_t{op.tag},
+        std::int64_t{op.xbars}, op.local_usage}) {
     out.push_back(',');
     append_int(out, field);
   }
@@ -107,53 +140,7 @@ std::vector<std::int64_t> int64_vector(const Json& array, const char* what) {
 
 }  // namespace
 
-std::string to_string(Opcode opcode) {
-  switch (opcode) {
-    case Opcode::kMvm: return "MVM";
-    case Opcode::kValu: return "VALU";
-    case Opcode::kSend: return "SEND";
-    case Opcode::kRecv: return "RECV";
-    case Opcode::kLoad: return "LOAD";
-    case Opcode::kStore: return "STORE";
-  }
-  return "UNKNOWN";
-}
-
-Opcode opcode_from_string(const std::string& mnemonic) {
-  if (mnemonic == "MVM") return Opcode::kMvm;
-  if (mnemonic == "VALU") return Opcode::kValu;
-  if (mnemonic == "SEND") return Opcode::kSend;
-  if (mnemonic == "RECV") return Opcode::kRecv;
-  if (mnemonic == "LOAD") return Opcode::kLoad;
-  if (mnemonic == "STORE") return Opcode::kStore;
-  throw InstructionStreamError("unknown opcode mnemonic '" + mnemonic + "'");
-}
-
-Opcode opcode_from_op_kind(OpKind kind) {
-  switch (kind) {
-    case OpKind::kMvm: return Opcode::kMvm;
-    case OpKind::kVfu: return Opcode::kValu;
-    case OpKind::kCommSend: return Opcode::kSend;
-    case OpKind::kCommRecv: return Opcode::kRecv;
-    case OpKind::kLoadGlobal: return Opcode::kLoad;
-    case OpKind::kStoreGlobal: return Opcode::kStore;
-  }
-  throw InstructionStreamError("unknown operation kind");
-}
-
-OpKind op_kind_from_opcode(Opcode opcode) {
-  switch (opcode) {
-    case Opcode::kMvm: return OpKind::kMvm;
-    case Opcode::kValu: return OpKind::kVfu;
-    case Opcode::kSend: return OpKind::kCommSend;
-    case Opcode::kRecv: return OpKind::kCommRecv;
-    case Opcode::kLoad: return OpKind::kLoadGlobal;
-    case Opcode::kStore: return OpKind::kStoreGlobal;
-  }
-  throw InstructionStreamError("unknown opcode");
-}
-
-void InstructionStream::validate() const {
+void InstructionStream::validate_header() const {
   if (backend.empty()) {
     throw InstructionStreamError("instruction stream has no backend name");
   }
@@ -161,129 +148,27 @@ void InstructionStream::validate() const {
     throw InstructionStreamError(
         "instruction stream parallelism degree must be >= 1");
   }
-  if (ag_count < 0) {
-    throw InstructionStreamError("instruction stream ag_count is negative");
-  }
-  const int cores_n = core_count();
-  if (static_cast<int>(spill_bytes.size()) != cores_n ||
-      static_cast<int>(peak_local_bytes.size()) != cores_n) {
-    throw InstructionStreamError(
-        "instruction stream per-core metadata does not match its core "
-        "count (" + std::to_string(cores_n) + " cores, " +
-        std::to_string(spill_bytes.size()) + " spill entries, " +
-        std::to_string(peak_local_bytes.size()) + " peak entries)");
-  }
-  std::int64_t ops = 0;
-  for (int c = 0; c < cores_n; ++c) {
-    for (const Instruction& inst : cores[static_cast<std::size_t>(c)]) {
-      ++ops;
-      const bool is_comm =
-          inst.opcode == Opcode::kSend || inst.opcode == Opcode::kRecv;
-      if (inst.opcode == Opcode::kMvm) {
-        if (inst.ag < 0 || inst.ag >= ag_count) {
-          throw InstructionStreamError(
-              "MVM on core " + std::to_string(c) +
-              " references AG " + std::to_string(inst.ag) + " outside [0, " +
-              std::to_string(ag_count) + ")");
-        }
-        if (inst.xbars < 0) {
-          throw InstructionStreamError("MVM with negative crossbar count");
-        }
-      } else if (inst.ag < -1 || inst.ag >= ag_count) {
-        throw InstructionStreamError(
-            to_string(inst.opcode) + " on core " + std::to_string(c) +
-            " waits on AG " + std::to_string(inst.ag) + " outside [-1, " +
-            std::to_string(ag_count) + ")");
-      }
-      if (is_comm && (inst.peer < 0 || inst.peer >= cores_n)) {
-        throw InstructionStreamError(
-            to_string(inst.opcode) + " on core " + std::to_string(c) +
-            " targets peer " + std::to_string(inst.peer) + " outside [0, " +
-            std::to_string(cores_n) + ")");
-      }
-      if (inst.bytes < 0) {
-        throw InstructionStreamError(to_string(inst.opcode) +
-                                     " with negative payload bytes");
-      }
-      if (inst.elements < 0) {
-        throw InstructionStreamError(to_string(inst.opcode) +
-                                     " with negative element count");
-      }
-      if (inst.local_usage < -1) {
-        throw InstructionStreamError(to_string(inst.opcode) +
-                                     " with local usage below -1");
-      }
-    }
-  }
-  if (ops != total_ops) {
-    throw InstructionStreamError(
-        "instruction stream total_ops (" + std::to_string(total_ops) +
-        ") disagrees with its own instruction lists (" +
-        std::to_string(ops) + ")");
-  }
 }
 
-Schedule InstructionStream::to_schedule() const {
-  Schedule schedule;
-  schedule.ag_count = ag_count;
-  schedule.total_ops = total_ops;
-  schedule.spill_bytes = spill_bytes;
-  schedule.peak_local_bytes = peak_local_bytes;
-  schedule.programs.reserve(cores.size());
-  for (const std::vector<Instruction>& program : cores) {
-    std::vector<Operation> ops;
-    ops.reserve(program.size());
-    for (const Instruction& inst : program) {
-      Operation op;
-      op.kind = op_kind_from_opcode(inst.opcode);
-      op.node = inst.node;
-      op.ag = inst.ag;
-      op.window = inst.window;
-      op.bytes = inst.bytes;
-      op.elements = inst.elements;
-      op.peer = inst.peer;
-      op.tag = inst.tag;
-      op.xbars = inst.xbars;
-      op.local_usage = inst.local_usage;
-      ops.push_back(op);
-    }
-    schedule.programs.push_back(std::move(ops));
+void InstructionStream::validate() const {
+  validate_header();
+  try {
+    Schedule::validate();
+  } catch (const ScheduleError& e) {
+    throw InstructionStreamError(std::string("instruction stream: ") +
+                                 e.what());
   }
-  return schedule;
 }
 
 InstructionStream InstructionStream::from_schedule(
     const Schedule& schedule, PipelineMode mode, int parallelism_degree,
     const std::string& backend, std::uint64_t mapping_key) {
   InstructionStream stream;
+  static_cast<Schedule&>(stream) = schedule;
   stream.backend = backend;
   stream.mapping_key = mapping_key;
   stream.mode = mode;
   stream.parallelism_degree = parallelism_degree;
-  stream.ag_count = schedule.ag_count;
-  stream.total_ops = schedule.total_ops;
-  stream.spill_bytes = schedule.spill_bytes;
-  stream.peak_local_bytes = schedule.peak_local_bytes;
-  stream.cores.reserve(schedule.programs.size());
-  for (const std::vector<Operation>& program : schedule.programs) {
-    std::vector<Instruction> insts;
-    insts.reserve(program.size());
-    for (const Operation& op : program) {
-      Instruction inst;
-      inst.opcode = opcode_from_op_kind(op.kind);
-      inst.node = op.node;
-      inst.ag = op.ag;
-      inst.window = op.window;
-      inst.bytes = op.bytes;
-      inst.elements = op.elements;
-      inst.peer = op.peer;
-      inst.tag = op.tag;
-      inst.xbars = op.xbars;
-      inst.local_usage = op.local_usage;
-      insts.push_back(inst);
-    }
-    stream.cores.push_back(std::move(insts));
-  }
   stream.validate();
   return stream;
 }
@@ -296,7 +181,9 @@ std::uint64_t InstructionStream::content_fingerprint() const {
 std::string InstructionStream::to_json_text() const {
   // Rows are ~40 bytes; one reservation keeps the writer from regrowing.
   std::size_t rows = 0;
-  for (const std::vector<Instruction>& program : cores) rows += program.size();
+  for (const std::vector<Operation>& program : programs) {
+    rows += program.size();
+  }
   std::string out;
   out.reserve(256 + 48 * rows);
   // Envelope first: a self-describing artifact survives being moved
@@ -321,12 +208,12 @@ std::string InstructionStream::to_json_text() const {
   append_int64_array(out, peak_local_bytes);
   append_key(out, "cores");
   out.push_back('[');
-  for (std::size_t c = 0; c < cores.size(); ++c) {
+  for (std::size_t c = 0; c < programs.size(); ++c) {
     if (c > 0) out.push_back(',');
     out.push_back('[');
-    for (std::size_t i = 0; i < cores[c].size(); ++i) {
+    for (std::size_t i = 0; i < programs[c].size(); ++i) {
       if (i > 0) out.push_back(',');
-      append_instruction(out, cores[c][i]);
+      append_operation(out, programs[c][i]);
     }
     out.push_back(']');
   }
@@ -368,19 +255,19 @@ InstructionStream InstructionStream::from_json(const Json& json) {
   if (!cores_json.is_array()) {
     throw InstructionStreamError("instruction stream cores must be an array");
   }
-  stream.cores.reserve(cores_json.size());
+  stream.programs.reserve(cores_json.size());
   for (std::size_t c = 0; c < cores_json.size(); ++c) {
     const Json& rows = cores_json.at(c);
     if (!rows.is_array()) {
       throw InstructionStreamError(
           "instruction stream core program must be an array");
     }
-    std::vector<Instruction> program;
+    std::vector<Operation> program;
     program.reserve(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      program.push_back(instruction_from_json(rows.at(i)));
+      program.push_back(operation_from_row(rows.at(i)));
     }
-    stream.cores.push_back(std::move(program));
+    stream.programs.push_back(std::move(program));
   }
   stream.validate();
   return stream;

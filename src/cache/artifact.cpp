@@ -1,5 +1,6 @@
 #include "cache/artifact.hpp"
 
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -31,6 +32,19 @@ Json operation_to_json(const Operation& op) {
   return row;
 }
 
+/// Row field `i` for a 32-bit Operation field. A value that does not fit
+/// is refused: wrapped, 2^32 + 5 would pass validation as AG 5.
+std::int32_t int32_at(const Json& row, std::size_t i) {
+  const std::int64_t value = row.at(i).as_int();
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    throw CacheArtifactError("artifact operation field " +
+                             std::to_string(i) + " (" +
+                             std::to_string(value) + ") does not fit 32 bits");
+  }
+  return static_cast<std::int32_t>(value);
+}
+
 Operation operation_from_json(const Json& row) {
   if (!row.is_array() || row.size() != 10) {
     throw CacheArtifactError("artifact operation row must be a 10-tuple");
@@ -42,14 +56,14 @@ Operation operation_from_json(const Json& row) {
   }
   Operation op;
   op.kind = static_cast<OpKind>(kind);
-  op.node = static_cast<NodeId>(row.at(std::size_t(1)).as_int());
-  op.ag = static_cast<std::int32_t>(row.at(std::size_t(2)).as_int());
-  op.window = static_cast<std::int32_t>(row.at(std::size_t(3)).as_int());
+  op.node = int32_at(row, 1);
+  op.ag = int32_at(row, 2);
+  op.window = int32_at(row, 3);
   op.bytes = row.at(std::size_t(4)).as_int();
   op.elements = row.at(std::size_t(5)).as_int();
-  op.peer = static_cast<std::int32_t>(row.at(std::size_t(6)).as_int());
-  op.tag = static_cast<std::int32_t>(row.at(std::size_t(7)).as_int());
-  op.xbars = static_cast<std::int32_t>(row.at(std::size_t(8)).as_int());
+  op.peer = int32_at(row, 6);
+  op.tag = int32_at(row, 7);
+  op.xbars = int32_at(row, 8);
   op.local_usage = row.at(std::size_t(9)).as_int();
   return op;
 }
@@ -106,7 +120,6 @@ Schedule schedule_from_json(const Json& json, int expected_cores) {
         std::to_string(expected_cores) + ")");
   }
   schedule.programs.reserve(programs.size());
-  std::int64_t ops = 0;
   for (std::size_t core = 0; core < programs.size(); ++core) {
     const Json& rows = programs.at(core);
     if (!rows.is_array()) {
@@ -117,14 +130,12 @@ Schedule schedule_from_json(const Json& json, int expected_cores) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       program.push_back(operation_from_json(rows.at(i)));
     }
-    ops += static_cast<std::int64_t>(program.size());
     schedule.programs.push_back(std::move(program));
   }
-  if (ops != schedule.total_ops) {
-    throw CacheArtifactError("artifact total_ops (" +
-                             std::to_string(schedule.total_ops) +
-                             ") disagrees with its own op streams (" +
-                             std::to_string(ops) + ")");
+  try {
+    schedule.validate();
+  } catch (const ScheduleError& e) {
+    throw CacheArtifactError(std::string("artifact schedule: ") + e.what());
   }
   return schedule;
 }
@@ -239,6 +250,15 @@ CompileResult compile_result_from_artifact(
         throw CacheArtifactError(
             "artifact stream was emitted by backend '" + stream.backend +
             "', requester wants '" + options.backend + "'");
+      }
+      // The stream is the schedule lowered under the requester's options:
+      // a different program (or header) paired with a valid schedule must
+      // never be served.
+      if (static_cast<const Schedule&>(stream) != result.schedule ||
+          stream.mode != options.mode ||
+          stream.parallelism_degree != options.parallelism_degree) {
+        throw CacheArtifactError(
+            "artifact stream does not hold the program of its schedule");
       }
       result.stream =
           std::make_shared<const InstructionStream>(std::move(stream));

@@ -34,4 +34,61 @@ std::int64_t Schedule::total_bytes(OpKind kind) const {
   return n;
 }
 
+void Schedule::validate() const {
+  if (ag_count < 0) throw ScheduleError("schedule ag_count is negative");
+  const int cores = core_count();
+  if (static_cast<int>(spill_bytes.size()) != cores ||
+      static_cast<int>(peak_local_bytes.size()) != cores) {
+    throw ScheduleError(
+        "schedule per-core metadata does not match its core count (" +
+        std::to_string(cores) + " cores, " +
+        std::to_string(spill_bytes.size()) + " spill entries, " +
+        std::to_string(peak_local_bytes.size()) + " peak entries)");
+  }
+  std::int64_t ops = 0;
+  for (int c = 0; c < cores; ++c) {
+    for (const Operation& op : programs[static_cast<std::size_t>(c)]) {
+      ++ops;
+      // Built only on the throwing path: validation runs on every decode.
+      const auto where = [&] {
+        return to_string(op.kind) + " on core " + std::to_string(c);
+      };
+      if (op.kind == OpKind::kMvm) {
+        if (op.ag < 0 || op.ag >= ag_count) {
+          throw ScheduleError(where() + " runs on AG " + std::to_string(op.ag) +
+                              " outside [0, " + std::to_string(ag_count) +
+                              ")");
+        }
+        if (op.xbars < 0) {
+          throw ScheduleError(where() + " has a negative crossbar count");
+        }
+      } else if (op.ag < -1 || op.ag >= ag_count) {
+        throw ScheduleError(where() + " waits on AG " + std::to_string(op.ag) +
+                            " outside [-1, " + std::to_string(ag_count) +
+                            ")");
+      }
+      if ((op.kind == OpKind::kCommSend || op.kind == OpKind::kCommRecv) &&
+          (op.peer < 0 || op.peer >= cores)) {
+        throw ScheduleError(where() + " targets peer " +
+                            std::to_string(op.peer) + " outside [0, " +
+                            std::to_string(cores) + ")");
+      }
+      if (op.bytes < 0) {
+        throw ScheduleError(where() + " has negative payload bytes");
+      }
+      if (op.elements < 0) {
+        throw ScheduleError(where() + " has a negative element count");
+      }
+      if (op.local_usage < -1) {
+        throw ScheduleError(where() + " has a local usage below -1");
+      }
+    }
+  }
+  if (ops != total_ops) {
+    throw ScheduleError("schedule total_ops (" + std::to_string(total_ops) +
+                        ") disagrees with its own programs (" +
+                        std::to_string(ops) + ")");
+  }
+}
+
 }  // namespace pimcomp

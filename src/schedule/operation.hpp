@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "graph/node.hpp"
 
 namespace pimcomp {
@@ -60,10 +61,20 @@ struct Operation {
   /// Absolute local-memory bytes in use after this op, or -1 when unchanged.
   /// The simulator integrates this into the time-weighted usage of Fig 10.
   std::int64_t local_usage = -1;
+
+  friend bool operator==(const Operation&, const Operation&) = default;
+};
+
+/// Raised when a Schedule violates the invariants Schedule::validate()
+/// proves. Decoders and executors rethrow it as their own typed error.
+class ScheduleError : public Error {
+ public:
+  explicit ScheduleError(const std::string& message) : Error(message) {}
 };
 
 /// A whole compiled dataflow: one static operation sequence per core plus
-/// the facts the simulator needs to size its state.
+/// the facts the simulator needs to size its state. This is the one program
+/// type: the lowered InstructionStream is a Schedule plus its header.
 struct Schedule {
   std::vector<std::vector<Operation>> programs;  ///< per core
   int ag_count = 0;          ///< AG instances (wait-handle domain)
@@ -77,6 +88,16 @@ struct Schedule {
   std::vector<std::int64_t> peak_local_bytes;
 
   int core_count() const { return static_cast<int>(programs.size()); }
+
+  friend bool operator==(const Schedule&, const Schedule&) = default;
+
+  /// Proves the invariants every executor relies on: one spill and one
+  /// peak entry per core, wait handles inside [-1, ag_count) (an MVM's AG
+  /// inside [0, ag_count)), comm peers inside [0, core_count()),
+  /// non-negative payloads, and a total_ops that counts the programs.
+  /// Throws ScheduleError. Every decoder of untrusted program bytes and
+  /// the simulator call it before trusting a row.
+  void validate() const;
 
   /// Ops of one kind across all cores (test/report helper).
   std::int64_t count(OpKind kind) const;

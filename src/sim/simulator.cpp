@@ -30,7 +30,6 @@ struct CoreState {
   Picoseconds busy = 0;
   TimeWeightedAverage usage;
   Picoseconds last_usage_time = 0;
-  bool started = false;
 };
 
 }  // namespace
@@ -47,6 +46,13 @@ SimReport Simulator::run(const Schedule& schedule) const {
   PIMCOMP_CHECK(cores > 0, "schedule has no cores");
   PIMCOMP_CHECK(cores <= hw_.core_count,
                 "schedule uses more cores than the hardware has");
+  // Every index below (AG wait handles, comm peers) is proven in range
+  // before anything runs: programs may come from untrusted bytes.
+  try {
+    schedule.validate();
+  } catch (const ScheduleError& e) {
+    throw SimulationError(e.what());
+  }
 
   const EnergyModel energy(hw_);
   const NocModel noc(hw_);
@@ -79,8 +85,6 @@ SimReport Simulator::run(const Schedule& schedule) const {
 
     switch (op.kind) {
       case OpKind::kMvm: {
-        PIMCOMP_ASSERT(op.ag >= 0 && op.ag < schedule.ag_count,
-                       "MVM references an unknown AG");
         Picoseconds start = std::max(core.issue_clock, core.clock);
         start = std::max(start, ag_done[static_cast<std::size_t>(op.ag)]);
         core.issue_clock = start + t_issue;

@@ -21,8 +21,10 @@ struct SimOptions {
   PipelineMode mode = PipelineMode::kHighThroughput;
 };
 
-/// The cycle-accurate simulator of the paper's evaluation (§V-A2): executes
-/// the compiled operation streams modeling
+/// The cycle-accurate simulator of the paper's evaluation (§V-A2), and the
+/// only one: the `sim` backend runs it on the lowered InstructionStream,
+/// which is a Schedule plus its header. It executes the per-core operation
+/// streams modeling
 ///  * structural conflicts — an AG's crossbars serve one MVM at a time;
 ///  * per-core MVM issue bandwidth — consecutive issues are spaced by
 ///    T_MVM / parallelism;
@@ -32,14 +34,19 @@ struct SimOptions {
 ///  * on-chip local memory occupancy over time;
 ///  * dynamic energy per operation and leakage over active time.
 ///
-/// The execution loop sweeps cores round-robin, running each program
-/// in order until it blocks on an empty channel; absence of progress with
-/// unfinished programs raises SimulationError (deadlock) with diagnostics.
+/// run() first proves the schedule with Schedule::validate() (a violation
+/// is a SimulationError), so a program decoded from untrusted bytes cannot
+/// index outside its AG or core tables. Execution is globally time-ordered:
+/// the core whose next operation can start earliest always advances, and a
+/// core blocked on an empty channel parks until a matching send. Unfinished
+/// programs with nothing runnable raise SimulationError (deadlock) with
+/// diagnostics.
 class Simulator {
  public:
   Simulator(const HardwareConfig& hw, const SimOptions& options);
 
-  /// Runs a schedule to completion and returns the measurements.
+  /// Validates a schedule, runs it to completion and returns the
+  /// measurements.
   SimReport run(const Schedule& schedule) const;
 
  private:

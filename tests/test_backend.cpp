@@ -1,13 +1,16 @@
 // The backend subsystem's acceptance surface: the registry ships the two
 // built-in backends, every zoo model lowers into an instruction stream that
 // round-trips its JSON artifact losslessly, tampered or foreign artifacts
-// are rejected, the `sim` backend's reports are bit-identical to the legacy
-// simulator, lowered streams survive the disk cache byte-identically, and
-// two small models' artifact fingerprints are pinned as goldens (the
-// kIsaVersion bump protocol, mirroring tests/test_fingerprint_goldens.cpp).
+// are rejected, the `sim` backend reports on a lowered stream exactly what
+// the simulator reports on its schedule (so lowering loses nothing), the
+// simulator's reports over the zoo are pinned, lowered streams survive the
+// disk cache byte-identically, and two small models' artifact fingerprints
+// are pinned as goldens (the kIsaVersion bump protocol, mirroring
+// tests/test_fingerprint_goldens.cpp).
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
@@ -113,17 +116,62 @@ TEST(BackendRegistry, OnlySimExecutes) {
 }
 
 // ---------------------------------------------------------------------------
-// Opcodes.
+// Mnemonics.
 // ---------------------------------------------------------------------------
 
-TEST(InstructionStream, OpcodesRoundTripLosslessly) {
-  const Opcode opcodes[] = {Opcode::kMvm,  Opcode::kValu, Opcode::kSend,
-                            Opcode::kRecv, Opcode::kLoad, Opcode::kStore};
-  for (Opcode opcode : opcodes) {
-    EXPECT_EQ(opcode_from_string(to_string(opcode)), opcode);
-    EXPECT_EQ(opcode_from_op_kind(op_kind_from_opcode(opcode)), opcode);
+/// The ISA mnemonic of each OpKind, as the schema in docs/backends.md
+/// names them.
+const char* mnemonic(OpKind kind) {
+  switch (kind) {
+    case OpKind::kMvm: return "MVM";
+    case OpKind::kVfu: return "VALU";
+    case OpKind::kCommSend: return "SEND";
+    case OpKind::kCommRecv: return "RECV";
+    case OpKind::kLoadGlobal: return "LOAD";
+    case OpKind::kStoreGlobal: return "STORE";
   }
-  EXPECT_THROW(opcode_from_string("JMP"), InstructionStreamError);
+  return "?";
+}
+
+TEST(InstructionStream, EveryOpKindRoundTripsThroughItsMnemonic) {
+  InstructionStream stream;
+  stream.backend = "isa-json";
+  stream.ag_count = 1;
+  std::vector<Operation> program;
+  for (const OpKind kind :
+       {OpKind::kMvm, OpKind::kVfu, OpKind::kCommSend, OpKind::kCommRecv,
+        OpKind::kLoadGlobal, OpKind::kStoreGlobal}) {
+    Operation op;
+    op.kind = kind;
+    op.ag = 0;
+    op.peer = 0;
+    program.push_back(op);
+  }
+  stream.programs = {program};
+  stream.total_ops = static_cast<std::int64_t>(program.size());
+  stream.spill_bytes = {0};
+  stream.peak_local_bytes = {0};
+
+  const Json artifact = stream.to_json();
+  const Json& rows = artifact.at("cores").at(std::size_t(0));
+  for (std::size_t i = 0; i < program.size(); ++i) {
+    EXPECT_EQ(rows.at(i).at(std::size_t(0)).as_string(),
+              mnemonic(program[i].kind));
+  }
+  EXPECT_EQ(InstructionStream::from_json(artifact).programs, stream.programs);
+
+  std::string unknown = stream.to_json_text();
+  unknown.replace(unknown.find("\"MVM\""), 5, "\"JMP\"");
+  EXPECT_THROW(InstructionStream::from_json(Json::parse(unknown)),
+               InstructionStreamError);
+
+  // AG 2^32 would wrap to the valid AG 0 in the 32-bit field.
+  const std::string mvm_row = "[\"MVM\",-1,0,";
+  std::string wide = stream.to_json_text();
+  wide.replace(wide.find(mvm_row), mvm_row.size(),
+               "[\"MVM\",-1,4294967296,");
+  EXPECT_THROW(InstructionStream::from_json(Json::parse(wide)),
+               InstructionStreamError);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,12 +207,15 @@ TEST(InstructionStream, EveryZooModelLowersAndRoundTrips) {
         InstructionStream::from_json(artifact, stream.mapping_key);
     EXPECT_EQ(reparsed.to_json().dump(-1), artifact.dump(-1));
     EXPECT_EQ(reparsed.content_fingerprint(), stream.content_fingerprint());
+    EXPECT_TRUE(reparsed == stream);
 
-    // Schedule round-trip: lowering is lossless against the scheduler's
-    // representation, so re-lowering the recovered schedule is a fixpoint.
+    // Schedule round-trip: the stream's rows are the schedule's, so the
+    // parsed program equals the compiled one and re-lowering it is a
+    // fixpoint.
+    EXPECT_TRUE(static_cast<const Schedule&>(reparsed) == result.schedule);
     const InstructionStream relowered = InstructionStream::from_schedule(
-        reparsed.to_schedule(), stream.mode, stream.parallelism_degree,
-        stream.backend, stream.mapping_key);
+        reparsed, stream.mode, stream.parallelism_degree, stream.backend,
+        stream.mapping_key);
     EXPECT_EQ(relowered.content_fingerprint(), stream.content_fingerprint());
   }
 }
@@ -194,16 +245,16 @@ Json reference_dom(const InstructionStream& stream) {
   json["spill_bytes"] = int64s(stream.spill_bytes);
   json["peak_local_bytes"] = int64s(stream.peak_local_bytes);
   Json cores = Json::array();
-  for (const std::vector<Instruction>& program : stream.cores) {
+  for (const std::vector<Operation>& program : stream.programs) {
     Json rows = Json::array();
-    for (const Instruction& inst : program) {
+    for (const Operation& op : program) {
       Json row = Json::array();
-      row.push_back(to_string(inst.opcode));
+      row.push_back(mnemonic(op.kind));
       for (const std::int64_t field :
-           {std::int64_t{inst.node}, std::int64_t{inst.ag},
-            std::int64_t{inst.window}, inst.bytes, inst.elements,
-            std::int64_t{inst.peer}, std::int64_t{inst.tag},
-            std::int64_t{inst.xbars}, inst.local_usage}) {
+           {std::int64_t{op.node}, std::int64_t{op.ag},
+            std::int64_t{op.window}, op.bytes, op.elements,
+            std::int64_t{op.peer}, std::int64_t{op.tag},
+            std::int64_t{op.xbars}, op.local_usage}) {
         row.push_back(field);
       }
       rows.push_back(std::move(row));
@@ -244,8 +295,8 @@ TEST(InstructionStream, TextWriterMatchesTheDomOnExtremeIntegers) {
   stream.parallelism_degree = 0;
   stream.ag_count = -1;
   stream.total_ops = kAbove53;
-  Instruction extreme;
-  extreme.opcode = Opcode::kSend;
+  Operation extreme;
+  extreme.kind = OpKind::kCommSend;
   extreme.node = -1;
   extreme.ag = 0;
   extreme.window = std::numeric_limits<std::int32_t>::max();
@@ -255,8 +306,8 @@ TEST(InstructionStream, TextWriterMatchesTheDomOnExtremeIntegers) {
   extreme.tag = -1;
   extreme.xbars = 0;
   extreme.local_usage = -kAbove53 - 2;
-  Instruction plain;  // every field at its default: -1s and 0s
-  stream.cores = {{extreme, plain}, {}, {plain}};
+  Operation plain;  // every field at its default: -1s and 0s
+  stream.programs = {{extreme, plain}, {}, {plain}};
   stream.spill_bytes = {0, -1, kAbove53};
   stream.peak_local_bytes = {std::numeric_limits<std::int64_t>::min(), 0,
                              (std::int64_t{1} << 62) + 7};
@@ -363,6 +414,60 @@ TEST(SimBackend, BitIdenticalWithLegacySimulatorOnEveryZooModel) {
     EXPECT_EQ(replay.comm_messages, legacy.comm_messages);
     EXPECT_EQ(replay.comm_bytes, legacy.comm_bytes);
     EXPECT_EQ(replay.active_cores, legacy.active_cores);
+  }
+}
+
+TEST(SimBackend, ReportGoldensArePinnedOnEveryZooModelInBothModes) {
+  // The reference simulator's measurements of every zoo model, tiny GA,
+  // seed 1, auto-fitted cores. A drift means either the program or the
+  // simulator's arithmetic changed: neither may move silently.
+  struct GoldenReport {
+    Picoseconds makespan;
+    const char* total_energy_bits;  ///< total_energy() as IEEE-754 hex
+    std::int64_t mvm_ops;
+    std::int64_t comm_bytes;
+    std::int64_t peak_local_memory_bytes;
+  };
+  const GoldenReport goldens[] = {
+      // One HT row, then one LL row, per model in zoo::model_names() order.
+      {176367141, "4215d91afd035aae", 14656, 3701808, 40960},
+      {1046058954, "425300bffed0dca8", 14656, 69473712, 130816},
+      {47042268, "41e05f85725ad375", 2708, 317808, 40960},
+      {505571349, "4222c837d69aa312", 2708, 3259632, 32640},
+      {49782573, "41d9f97a3ceb0818", 2327, 211248, 40960},
+      {761515575, "42210c7f847812b0", 2327, 1220912, 20864},
+      {358892648, "422031156f28e488", 31773, 2457648, 62208},
+      {3335088230, "42619abbe7825ac8", 31773, 57262448, 240640},
+      {33737083, "41aa797bbb988228", 754, 10096, 35072},
+      {304915517, "41e715623691170e", 754, 133872, 15680},
+  };
+  const std::vector<std::string> models = zoo::model_names();
+  ASSERT_EQ(std::size(goldens), 2 * models.size());
+  const GoldenReport* golden = goldens;
+  for (const std::string& model : models) {
+    for (const PipelineMode mode :
+         {PipelineMode::kHighThroughput, PipelineMode::kLowLatency}) {
+      SCOPED_TRACE(model + "/" + to_string(mode));
+      Graph graph = zoo::build(model, small_input(model));
+      HardwareConfig hw = fitted(graph);
+      CompileOptions options = tiny_options("");
+      options.mode = mode;
+      const CompileResult result =
+          Compiler(std::move(graph), hw).compile(options);
+      SimOptions sim_options;
+      sim_options.parallelism_degree = options.parallelism_degree;
+      sim_options.mode = mode;
+      const SimReport report = Simulator(hw, sim_options).run(result.schedule);
+      EXPECT_EQ(report.makespan, golden->makespan);
+      EXPECT_EQ(cache_key_hex(std::bit_cast<std::uint64_t>(
+                    report.total_energy())),
+                golden->total_energy_bits);
+      EXPECT_EQ(report.mvm_ops, golden->mvm_ops);
+      EXPECT_EQ(report.comm_bytes, golden->comm_bytes);
+      EXPECT_EQ(report.peak_local_memory_bytes,
+                golden->peak_local_memory_bytes);
+      ++golden;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -17,8 +18,10 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "backend/instruction_stream.hpp"
 #include "cache/artifact.hpp"
 #include "cache/cache_config.hpp"
 #include "cache/disk_store.hpp"
@@ -309,6 +312,176 @@ TEST(DiskCache, RejectsArtifactsWithMismatchedWorkloadFingerprint) {
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(healed->entry.artifact.get("workload_fp", std::string()),
             cache_key_hex(other_workload_fp));
+}
+
+/// One compilation of small_cnn() with its cache identity, built outside
+/// any session so a test can forge artifacts from it.
+struct Forgeable {
+  std::uint64_t workload_fp = 0;
+  std::uint64_t mapping_key = 0;
+  CompileResult result;
+};
+
+Forgeable compile_forgeable(const CompileOptions& options) {
+  Graph graph = small_cnn();
+  graph.finalize();
+  const HardwareConfig hw = small_hw();
+  const std::uint64_t workload_fp =
+      combine_fingerprints(fingerprint(graph), fingerprint(hw));
+  const std::uint64_t mapping_key =
+      combine_fingerprints(workload_fp, fingerprint(options));
+  return {workload_fp, mapping_key,
+          Compiler(std::move(graph), hw).compile(options)};
+}
+
+/// Copies of `good`, each with one row or metadata fault that sends an
+/// executor outside its AG table, its core table or its payload domain.
+std::vector<std::pair<std::string, Schedule>> corrupted(const Schedule& good) {
+  constexpr std::int32_t kFar = 50'000'000;
+  std::vector<std::pair<std::string, Schedule>> out;
+  const auto corrupt_first = [&](const char* what, auto matches,
+                                 auto corrupt) {
+    Schedule bad = good;
+    for (std::vector<Operation>& program : bad.programs) {
+      for (Operation& op : program) {
+        if (!matches(op)) continue;
+        corrupt(op);
+        out.emplace_back(what, std::move(bad));
+        return;
+      }
+    }
+    ADD_FAILURE() << "the schedule has no row to corrupt for: " << what;
+  };
+  corrupt_first(
+      "a non-MVM row waits on an AG out of range",
+      [](const Operation& op) { return op.kind != OpKind::kMvm; },
+      [](Operation& op) { op.ag = kFar; });
+  corrupt_first(
+      "an MVM runs on an AG out of range",
+      [](const Operation& op) { return op.kind == OpKind::kMvm; },
+      [](Operation& op) { op.ag = kFar; });
+  corrupt_first(
+      "a SEND/RECV targets a peer out of range",
+      [](const Operation& op) {
+        return op.kind == OpKind::kCommSend || op.kind == OpKind::kCommRecv;
+      },
+      [](Operation& op) { op.peer = kFar; });
+  corrupt_first(
+      "a row moves negative bytes", [](const Operation&) { return true; },
+      [](Operation& op) { op.bytes = -1; });
+  Schedule spill = good;
+  spill.spill_bytes.push_back(0);
+  out.emplace_back("spill_bytes does not match the core count",
+                   std::move(spill));
+  return out;
+}
+
+TEST(DiskCache, ArtifactDecodeRejectsEveryOutOfRangeRow) {
+  const CompileOptions options = tiny_options(2);
+  const Forgeable good = compile_forgeable(options);
+  const auto decode = [&](const CompileResult& result) {
+    return compile_result_from_artifact(
+        compile_result_to_artifact(result, good.workload_fp,
+                                   good.mapping_key),
+        good.result.workload, options, good.workload_fp);
+  };
+  EXPECT_NO_THROW(decode(good.result));
+  for (const auto& [what, schedule] : corrupted(good.result.schedule)) {
+    SCOPED_TRACE(what);
+    CompileResult bad = good.result;
+    bad.schedule = schedule;
+    EXPECT_THROW(decode(bad), CacheArtifactError);
+  }
+
+  // An MVM on AG 2^32 wraps to the valid AG 0 in the 32-bit field: it
+  // must be refused, not aliased. A marker value locates the field.
+  CompileResult marked = good.result;
+  const auto mvm = [](const Operation& op) { return op.kind == OpKind::kMvm; };
+  for (std::vector<Operation>& program : marked.schedule.programs) {
+    const auto it = std::find_if(program.begin(), program.end(), mvm);
+    if (it == program.end()) continue;
+    it->ag = 1234567;
+    break;
+  }
+  std::string text = compile_result_to_artifact(marked, good.workload_fp,
+                                                good.mapping_key)
+                         .dump(-1);
+  text.replace(text.find("1234567"), 7, "4294967296");
+  EXPECT_THROW(compile_result_from_artifact(Json::parse(text),
+                                            good.result.workload, options,
+                                            good.workload_fp),
+               CacheArtifactError);
+}
+
+TEST(DiskCache, CorruptRowArtifactIsEvictedRecomputedAndSimulates) {
+  TempDir dir;
+  const CompileOptions options = tiny_options(2);
+  const Forgeable good = compile_forgeable(options);
+  std::string cold_simulation;
+  {
+    CompilerSession cold(small_cnn(), small_hw(), cache_at(dir.path));
+    const CompileResult result = cold.compile(options);
+    cold_simulation = sim_report_to_json(cold.simulate(result)).dump(-1);
+  }
+  DiskStore store(cache_at(dir.path));
+  const auto cold_entry = store.load(good.mapping_key);
+  ASSERT_TRUE(cold_entry.has_value());
+  const std::string cold_artifact = cold_entry->entry.artifact.dump(-1);
+
+  for (const auto& [what, schedule] : corrupted(good.result.schedule)) {
+    SCOPED_TRACE(what);
+    CompileResult bad = good.result;
+    bad.schedule = schedule;
+    CacheEntry forged;
+    forged.artifact = compile_result_to_artifact(bad, good.workload_fp,
+                                                 good.mapping_key);
+    store.erase(good.mapping_key);
+    store.store(good.mapping_key, forged);
+
+    CompilerSession warm(small_cnn(), small_hw(), cache_at(dir.path));
+    const CompileResult result = warm.compile(options);
+    // A miss: the corrupt entry was evicted and the program recomputed...
+    EXPECT_EQ(warm.mapping_disk_hits(), 0u);
+    EXPECT_EQ(warm.mapping_cache_stores(), 1u);
+    const auto healed = store.load(good.mapping_key);
+    ASSERT_TRUE(healed.has_value());
+    EXPECT_EQ(healed->entry.artifact.dump(-1), cold_artifact);
+    // ...so simulating the result runs the real program.
+    EXPECT_EQ(sim_report_to_json(warm.simulate(result)).dump(-1),
+              cold_simulation);
+  }
+}
+
+TEST(DiskCache, ArtifactDecodeRejectsAStreamOfAnotherProgram) {
+  CompileOptions options = tiny_options(2);
+  options.backend = "isa-json";
+  CompileOptions other = options;
+  other.mode = PipelineMode::kHighThroughput;
+  const Forgeable good = compile_forgeable(options);
+  const Forgeable foreign = compile_forgeable(other);
+  ASSERT_NE(good.result.stream, nullptr);
+  ASSERT_NE(foreign.result.stream, nullptr);
+  ASSERT_FALSE(good.result.schedule == foreign.result.schedule);
+
+  Json artifact = compile_result_to_artifact(good.result, good.workload_fp,
+                                             good.mapping_key);
+  const auto decode = [&] {
+    return compile_result_from_artifact(artifact, good.result.workload,
+                                        options, good.workload_fp);
+  };
+  EXPECT_NO_THROW(decode());
+  // Another compile's valid stream, re-bound to this artifact's key and
+  // header: only comparing its rows with the schedule can tell.
+  InstructionStream swapped = *foreign.result.stream;
+  swapped.mapping_key = good.mapping_key;
+  swapped.mode = options.mode;
+  artifact["stream"] = swapped.to_json();
+  EXPECT_THROW(decode(), CacheArtifactError);
+  // The right rows under another MVM issue bandwidth simulate differently.
+  InstructionStream reheadered = *good.result.stream;
+  reheadered.parallelism_degree += 1;
+  artifact["stream"] = reheadered.to_json();
+  EXPECT_THROW(decode(), CacheArtifactError);
 }
 
 TEST(DiskCache, ReadOnlyCacheServesButNeverWrites) {

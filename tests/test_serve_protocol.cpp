@@ -495,11 +495,11 @@ TEST(ServeProtocol, ArtifactFrameLineSplicesTheStreamTextByteIdentically) {
   stream.mode = PipelineMode::kLowLatency;
   stream.ag_count = 1;
   stream.total_ops = 2;
-  Instruction mvm;
-  mvm.opcode = Opcode::kMvm;
+  Operation mvm;
+  mvm.kind = OpKind::kMvm;
   mvm.ag = 0;
   mvm.bytes = 4096;
-  stream.cores = {{mvm}, {Instruction{}}};
+  stream.programs = {{mvm}, {Operation{}}};
   stream.spill_bytes = {0, 128};
   stream.peak_local_bytes = {4096, 0};
   const std::string text = stream.to_json_text();

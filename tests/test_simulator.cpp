@@ -57,6 +57,8 @@ Schedule make_schedule(std::vector<std::vector<Operation>> programs,
   for (const auto& p : s.programs) {
     s.total_ops += static_cast<std::int64_t>(p.size());
   }
+  s.spill_bytes.assign(s.programs.size(), 0);
+  s.peak_local_bytes.assign(s.programs.size(), 0);
   return s;
 }
 
@@ -267,6 +269,21 @@ TEST(Simulator, RejectsBadConfigs) {
   // More cores in the schedule than the hardware has.
   const Schedule wide = make_schedule({{}, {}, {}}, 0);
   EXPECT_THROW(Simulator(test_hw(2), ok).run(wide), ConfigError);
+}
+
+TEST(Simulator, ValidatesTheScheduleBeforeRunningIt) {
+  // Each row would index outside the AG or core tables if it ran.
+  constexpr int kFar = 50'000'000;
+  const HardwareConfig hw = test_hw(2);
+  const SimOptions opt;
+  const auto run = [&](const Schedule& s) { Simulator(hw, opt).run(s); };
+  EXPECT_THROW(run(make_schedule({{mvm(kFar)}, {}}, 1)), SimulationError);
+  EXPECT_THROW(run(make_schedule({{vfu(8, kFar)}, {}}, 1)), SimulationError);
+  EXPECT_THROW(run(make_schedule({{send(kFar, 64)}, {}}, 0)),
+               SimulationError);
+  Schedule unsized = make_schedule({{vfu(8)}, {}}, 0);
+  unsized.spill_bytes.pop_back();
+  EXPECT_THROW(run(unsized), SimulationError);
 }
 
 TEST(Simulator, BusyNeverExceedsFinish) {
