@@ -92,12 +92,10 @@ for i in 0 1 2; do wait_socket "$BASE/d$i.sock"; done
 ROUTER_PID=$!
 wait_socket "$ROUTER_SOCK"
 
-# Scenario 0 is near-instant — its outcome is relayed before the kill, so
+# Scenario 0 is near-instant; the kill below waits until it is done, so
 # the retry's deduplication is exercised for real. The heavy GA budgets
-# hold the (single-job) backend long enough that the SIGKILL lands while
-# the batch is streaming, even on a fast machine: each takes seconds (a
-# 4-vCPU VM maps squeezenet@64 at 512 x 500 in 0.2 s, too fast for the
-# one-second wait below).
+# hold the (single-job) backend for seconds, so the SIGKILL lands while a
+# heavy scenario is mapping.
 cat > "$SCENARIOS" <<'EOF'
 [
   {"label": "light", "options": {"mode": "ll", "parallelism": 4,
@@ -139,14 +137,35 @@ EOF
 done
 [ -n "$BUSY_EP" ] || { echo "router never dispatched the batch" >&2; exit 1; }
 
-# Give the backend a beat to get into the heavy scenarios, then kill it
-# without ceremony — SIGKILL, no drain, mid-compile.
-sleep 1
 KILLED=
 for i in 0 1 2; do
   [ "$BUSY_EP" = "unix:$BASE/d$i.sock" ] && KILLED=$i
 done
 [ -n "$KILLED" ] || { echo "unknown busy endpoint $BUSY_EP" >&2; exit 1; }
+
+# The backend's first memory-tier store is scenario 0's mapping: it is
+# done and, with --jobs 1, a heavy scenario is now running. Kill the
+# backend then, without ceremony — SIGKILL, no drain, mid-compile — so the
+# kill does not depend on the machine's speed.
+STORED=
+for _ in $(seq 600); do
+  "$BUILD"/examples/pimcomp_cli cache stats --server "$BUSY_EP" \
+    --auth-token "$TOKEN" --json > "$STATS_JSON" 2>/dev/null || true
+  STORED=$(python3 - "$STATS_JSON" <<'EOF'
+import json, sys
+try:
+    stats = json.load(open(sys.argv[1]))
+except Exception:
+    sys.exit(0)
+for row in stats.get("cache", []):
+    if row.get("tier") == "memory" and row.get("stores", 0) > 0:
+        print("yes")
+EOF
+)
+  [ -n "$STORED" ] && break
+  sleep 0.1
+done
+[ -n "$STORED" ] || { echo "backend never finished scenario 0" >&2; exit 1; }
 kill -KILL "${DAEMON_PIDS[KILLED]}"
 wait "${DAEMON_PIDS[KILLED]}" 2>/dev/null || true
 DAEMON_PIDS[KILLED]=0

@@ -39,12 +39,14 @@ Picoseconds NocModel::transfer_latency(int core_a, int core_b,
   // Serialization over the narrowest link plus per-hop pipeline latency.
   const double noc_bytes_per_ps = hw_.noc_link_gbps * 1e9 / 1e12;
   Picoseconds latency =
-      hop_count * hw_.noc_hop_latency +
-      static_cast<Picoseconds>(static_cast<double>(bytes) / noc_bytes_per_ps);
+      add_time(hop_count * hw_.noc_hop_latency,
+               checked_ps(static_cast<double>(bytes) / noc_bytes_per_ps));
   if (crosses_chip(core_a, core_b)) {
     const double ht_bytes_per_ps = hw_.ht_link_gbps * 1e9 / 1e12;
-    latency += hw_.ht_latency + static_cast<Picoseconds>(
-                                    static_cast<double>(bytes) / ht_bytes_per_ps);
+    latency = add_time(
+        latency,
+        add_time(hw_.ht_latency,
+                 checked_ps(static_cast<double>(bytes) / ht_bytes_per_ps)));
   }
   return latency;
 }

@@ -26,7 +26,8 @@ class NocModel {
 
   /// Latency for a message of `bytes` from core_a to core_b, including
   /// per-hop router latency, link serialization, and the HyperTransport
-  /// penalty for chip crossings.
+  /// penalty for chip crossings. Throws SimulationError when the latency
+  /// does not fit Picoseconds.
   Picoseconds transfer_latency(int core_a, int core_b,
                                std::int64_t bytes) const;
 

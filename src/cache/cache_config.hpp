@@ -18,7 +18,9 @@ namespace pimcomp {
 /// artifacts optionally carry a lowered "stream" section.
 /// v3: fingerprint(CompileOptions) hashes the island-model GA knobs
 /// (ga.islands, ga.migration_interval) — every option fingerprint moved.
-inline constexpr int kCacheSchemaVersion = 3;
+/// v4: the HT scheduler splits standalone vector nodes and places them by
+/// core load, so the same key now yields a different HT program.
+inline constexpr int kCacheSchemaVersion = 4;
 
 /// Where a cache hit or store landed, as reported to observers
 /// (CacheEvent::source) and on the wire. The memory tier is the session's

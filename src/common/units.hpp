@@ -2,6 +2,9 @@
 #define PIMCOMP_COMMON_UNITS_HPP
 
 #include <cstdint>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace pimcomp {
 
@@ -21,6 +24,26 @@ constexpr Picoseconds from_ns(double ns) {
 constexpr Picoseconds from_us(double us) {
   return static_cast<Picoseconds>(us * static_cast<double>(kPsPerUs));
 }
+/// A duration computed in floating point, rounded toward zero. Throws
+/// SimulationError when it does not fit Picoseconds (NaN included), where a
+/// plain cast would be undefined behaviour.
+inline Picoseconds checked_ps(double ps) {
+  if (!(ps >= 0.0 && ps < 0x1p63)) {
+    throw SimulationError("duration of " + std::to_string(ps) +
+                          " ps is outside the simulated time range");
+  }
+  return static_cast<Picoseconds>(ps);
+}
+
+/// a + b, or SimulationError when the sum leaves Picoseconds' range.
+inline Picoseconds add_time(Picoseconds a, Picoseconds b) {
+  Picoseconds sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) {
+    throw SimulationError("simulated time overflows 64-bit picoseconds");
+  }
+  return sum;
+}
+
 constexpr double to_ns(Picoseconds ps) {
   return static_cast<double>(ps) / static_cast<double>(kPsPerNs);
 }

@@ -1,6 +1,7 @@
 #include "schedule/ht_scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/error.hpp"
@@ -45,6 +46,30 @@ int batch_windows(const AccumGroup& g, int k, int flush) {
   const int begin = g.window_begin + k * flush;
   const int end = std::min(g.window_end, begin + flush);
   return std::max(0, end - begin);
+}
+
+/// The LOAD, VFU and STORE that stage one slice of vector node `v` on a
+/// core.
+std::array<Operation, 3> staging_ops(NodeId v, const VecSlice& slice) {
+  std::array<Operation, 3> ops;
+  ops[0].kind = OpKind::kLoadGlobal;
+  ops[0].bytes = slice.input_bytes;
+  ops[1].kind = OpKind::kVfu;
+  ops[1].elements = slice.elements;
+  ops[2].kind = OpKind::kStoreGlobal;
+  ops[2].bytes = slice.output_bytes;
+  for (Operation& op : ops) op.node = v;
+  return ops;
+}
+
+/// Busy time of staging one slice (no MVMs, so no issue slot is needed).
+Picoseconds staging_time(NodeId v, const VecSlice& slice,
+                         const HardwareConfig& hw) {
+  Picoseconds total = 0;
+  for (const Operation& op : staging_ops(v, slice)) {
+    total += busy_time(op, hw, /*mvm_issue=*/0);
+  }
+  return total;
 }
 
 }  // namespace
@@ -356,34 +381,50 @@ Schedule schedule_ht(const MappingSolution& solution,
   }
 
   // --- Standalone vector operations (Algorithm 1 line 10) --------------------
-  int rr_core = 0;
-  for (NodeId v : standalone_vec_nodes(graph)) {
-    CoreCtx& core = ctx[static_cast<std::size_t>(rr_core)];
-    rr_core = (rr_core + 1) % cores;
-    const std::int64_t in_bytes = node_input_bytes(graph, v, hw);
-    const std::int64_t out_bytes = node_output_bytes(graph, v, hw);
-    core.planner.alloc(in_bytes + out_bytes, BlockClass::kOther);
-    Operation load;
-    load.kind = OpKind::kLoadGlobal;
-    load.node = v;
-    load.bytes = in_bytes;
-    core.emit(load);
-    core.stamp();
-    const std::int64_t elems = vfu_elements(graph, v);
-    if (elems > 0) {
-      Operation vec;
-      vec.kind = OpKind::kVfu;
-      vec.node = v;
-      vec.elements = elems;
-      core.emit(vec);
+  // Layers pipeline across inferences, so throughput is set by the busiest
+  // core. Each vector node is split into the fewest output-row slices whose
+  // staging fits under the busiest crossbar core, and each slice goes to the
+  // core with the least estimated busy time (lowest index on a tie). The
+  // estimate is the simulator's own per-op cost.
+  const Picoseconds mvm_issue =
+      hw.mvm_issue_interval(options.parallelism_degree);
+  std::vector<Picoseconds> load(static_cast<std::size_t>(cores), 0);
+  for (int c = 0; c < cores; ++c) {
+    for (const Operation& op : ctx[static_cast<std::size_t>(c)].program) {
+      load[static_cast<std::size_t>(c)] += busy_time(op, hw, mvm_issue);
     }
-    Operation store;
-    store.kind = OpKind::kStoreGlobal;
-    store.node = v;
-    store.bytes = out_bytes;
-    core.emit(store);
-    core.planner.flush();
-    core.stamp();
+  }
+  const Picoseconds bottleneck = *std::max_element(load.begin(), load.end());
+  for (NodeId v : standalone_vec_nodes(graph)) {
+    // Zero-element nodes (concat, flatten) only move bytes through the one
+    // shared global memory, which splitting cannot speed up.
+    const int max_slices = vfu_elements(graph, v) > 0
+                               ? std::min(graph.node(v).output_shape.height,
+                                          cores)
+                               : 1;
+    std::vector<VecSlice> slices;
+    for (int count = 1; count <= max_slices; ++count) {
+      slices = split_vec_node(graph, v, count, hw);
+      if (std::all_of(slices.begin(), slices.end(), [&](const VecSlice& s) {
+            return staging_time(v, s, hw) <= bottleneck;
+          })) {
+        break;
+      }
+    }
+    for (const VecSlice& slice : slices) {
+      const auto least = std::min_element(load.begin(), load.end());
+      CoreCtx& core = ctx[static_cast<std::size_t>(least - load.begin())];
+      const auto [load_op, vec_op, store_op] = staging_ops(v, slice);
+      core.planner.alloc(slice.input_bytes + slice.output_bytes,
+                         BlockClass::kOther);
+      core.emit(load_op);
+      core.stamp();
+      if (vec_op.elements > 0) core.emit(vec_op);
+      core.emit(store_op);
+      core.planner.flush();
+      core.stamp();
+      *least += staging_time(v, slice, hw);
+    }
   }
 
   Schedule schedule;
@@ -413,6 +454,7 @@ class HtScheduler : public Scheduler {
     HtScheduleOptions ht;
     ht.memory_policy = options.memory_policy;
     ht.flush_windows = options.ht_flush_windows;
+    ht.parallelism_degree = options.parallelism_degree;
     return schedule_ht(solution, ht);
   }
 

@@ -14,6 +14,34 @@ std::string to_string(OpKind kind) {
   return "?";
 }
 
+namespace {
+
+/// Transfer time of `bytes` at `gbps` (GB/s).
+Picoseconds transfer_time(std::int64_t bytes, double gbps) {
+  if (bytes <= 0) return 0;
+  return checked_ps(static_cast<double>(bytes) * 1000.0 / gbps);
+}
+
+}  // namespace
+
+Picoseconds busy_time(const Operation& op, const HardwareConfig& hw,
+                      Picoseconds mvm_issue) {
+  switch (op.kind) {
+    case OpKind::kMvm:
+      return mvm_issue;
+    case OpKind::kVfu:
+      return checked_ps(static_cast<double>(op.elements) / hw.vfu_ops_per_ns *
+                        static_cast<double>(kPsPerNs));
+    case OpKind::kLoadGlobal:
+    case OpKind::kStoreGlobal:
+      return transfer_time(op.bytes, hw.global_memory_gbps);
+    case OpKind::kCommSend:
+    case OpKind::kCommRecv:
+      return transfer_time(op.bytes, hw.local_memory_gbps);
+  }
+  return 0;
+}
+
 std::int64_t Schedule::count(OpKind kind) const {
   std::int64_t n = 0;
   for (const auto& program : programs) {

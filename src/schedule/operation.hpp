@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "arch/hardware_config.hpp"
 #include "common/error.hpp"
+#include "common/units.hpp"
 #include "graph/node.hpp"
 
 namespace pimcomp {
@@ -64,6 +66,16 @@ struct Operation {
 
   friend bool operator==(const Operation&, const Operation&) = default;
 };
+
+/// The time `op` keeps its core busy: the one per-op cost model. An MVM
+/// takes one issue slot (`mvm_issue`, HardwareConfig::mvm_issue_interval at
+/// the run's parallelism), a VFU op its elements at vfu_ops_per_ns, LOAD and
+/// STORE their bytes at global-memory bandwidth, SEND and RECV theirs at
+/// local-memory bandwidth. The simulator charges exactly this to
+/// SimReport::core_busy, and the HT scheduler balances vector work with it.
+/// Throws SimulationError when the duration does not fit Picoseconds.
+Picoseconds busy_time(const Operation& op, const HardwareConfig& hw,
+                      Picoseconds mvm_issue);
 
 /// Raised when a Schedule violates the invariants Schedule::validate()
 /// proves. Decoders and executors rethrow it as their own typed error.

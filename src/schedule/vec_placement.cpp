@@ -1,5 +1,6 @@
 #include "schedule/vec_placement.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -67,6 +68,12 @@ std::vector<NodeId> standalone_vec_nodes(const Graph& graph) {
 
 namespace {
 
+/// floor(total * row / rows) without overflow, for 0 <= row <= rows: the
+/// prefix that divides `total` exactly among row ranges.
+std::int64_t row_prefix(std::int64_t total, int row, int rows) {
+  return total / rows * row + total % rows * row / rows;
+}
+
 /// Counts the crossbar nodes that reach `node` through non-crossbar ops
 /// (the producers that share a VEC node's cost).
 int crossbar_provider_count(const Graph& graph, NodeId node_id) {
@@ -89,6 +96,51 @@ int crossbar_provider_count(const Graph& graph, NodeId node_id) {
 }
 
 }  // namespace
+
+std::vector<VecSlice> split_vec_node(const Graph& graph, NodeId node_id,
+                                     int slices, const HardwareConfig& hw) {
+  const Node& node = graph.node(node_id);
+  const int rows = node.output_shape.height;
+  PIMCOMP_CHECK(slices >= 1 && slices <= rows,
+                "a vector node splits into 1..output-rows slices");
+  const std::int64_t in_bytes = node_input_bytes(graph, node_id, hw);
+  const std::int64_t elems = vfu_elements(graph, node_id);
+  const std::int64_t out_bytes = node_output_bytes(graph, node_id, hw);
+  const bool windowed =
+      node.type == OpType::kPool && node.pool.kind != PoolKind::kGlobalAverage;
+  std::vector<VecSlice> result;
+  result.reserve(static_cast<std::size_t>(slices));
+  for (int i = 0; i < slices; ++i) {
+    const int begin = static_cast<int>(row_prefix(rows, i, slices));
+    const int end = static_cast<int>(row_prefix(rows, i + 1, slices));
+    VecSlice slice;
+    slice.elements =
+        row_prefix(elems, end, rows) - row_prefix(elems, begin, rows);
+    slice.output_bytes =
+        row_prefix(out_bytes, end, rows) - row_prefix(out_bytes, begin, rows);
+    if (windowed) {
+      const TensorShape in = graph.node(node.inputs[0]).output_shape;
+      const PoolAttrs& pool = node.pool;
+      // A stride wider than the kernel skips rows; reading up to the next
+      // slice's first row keeps the slices' union the whole input.
+      const int first =
+          i == 0 ? 0 : std::max(0, begin * pool.stride - pool.padding);
+      const int last =
+          i == slices - 1
+              ? in.height
+              : std::min(in.height, (end - 1) * pool.stride - pool.padding +
+                                        std::max(pool.kernel, pool.stride));
+      slice.input_bytes =
+          TensorShape(in.channels, std::max(0, last - first), in.width)
+              .bytes(hw.activation_bits);
+    } else {
+      slice.input_bytes =
+          row_prefix(in_bytes, end, rows) - row_prefix(in_bytes, begin, rows);
+    }
+    result.push_back(slice);
+  }
+  return result;
+}
 
 std::int64_t downstream_vec_elements(const Workload& workload, NodeId node_id) {
   const Graph& graph = workload.graph();

@@ -16,12 +16,6 @@ namespace pimcomp {
 
 namespace {
 
-/// Transfer duration of `bytes` at `gbps` (GB/s) in picoseconds.
-Picoseconds bandwidth_time(std::int64_t bytes, double gbps) {
-  if (bytes <= 0) return 0;
-  return static_cast<Picoseconds>(static_cast<double>(bytes) * 1000.0 / gbps);
-}
-
 struct CoreState {
   std::size_t pc = 0;
   Picoseconds clock = 0;        ///< completion of the last in-order op
@@ -81,16 +75,20 @@ SimReport Simulator::run(const Schedule& schedule) const {
         (op.kind != OpKind::kMvm && op.ag >= 0)
             ? ag_done[static_cast<std::size_t>(op.ag)]
             : 0;
+    // Every clock below is checked: a validated payload can still be too
+    // large for 64-bit picoseconds.
+    const Picoseconds dur = busy_time(op, hw_, t_issue);
+    core.busy = add_time(core.busy, dur);
     Picoseconds effect_time = 0;
 
     switch (op.kind) {
       case OpKind::kMvm: {
         Picoseconds start = std::max(core.issue_clock, core.clock);
         start = std::max(start, ag_done[static_cast<std::size_t>(op.ag)]);
-        core.issue_clock = start + t_issue;
-        ag_done[static_cast<std::size_t>(op.ag)] = start + t_mvm;
-        core.last_event = std::max(core.last_event, start + t_mvm);
-        core.busy += t_issue;
+        core.issue_clock = add_time(start, dur);
+        const Picoseconds done = add_time(start, t_mvm);
+        ag_done[static_cast<std::size_t>(op.ag)] = done;
+        core.last_event = std::max(core.last_event, done);
         report.dynamic_energy.mvm += energy.mvm_energy_per_xbar() * op.xbars;
         ++report.mvm_ops;
         effect_time = start;
@@ -98,11 +96,8 @@ SimReport Simulator::run(const Schedule& schedule) const {
       }
       case OpKind::kVfu: {
         const Picoseconds start = std::max(core.clock, dep);
-        const double ns = static_cast<double>(op.elements) / hw_.vfu_ops_per_ns;
-        const Picoseconds dur = from_ns(ns);
-        core.clock = start + dur;
+        core.clock = add_time(start, dur);
         core.last_event = std::max(core.last_event, core.clock);
-        core.busy += dur;
         report.dynamic_energy.vfu +=
             energy.vfu_energy_per_element() * static_cast<double>(op.elements);
         report.dynamic_energy.local_memory +=
@@ -116,11 +111,9 @@ SimReport Simulator::run(const Schedule& schedule) const {
       case OpKind::kStoreGlobal: {
         Picoseconds start = std::max(core.clock, dep);
         start = std::max(start, gmem_free);
-        const Picoseconds dur = bandwidth_time(op.bytes, hw_.global_memory_gbps);
-        gmem_free = start + dur;
-        core.clock = start + dur;
+        gmem_free = add_time(start, dur);
+        core.clock = gmem_free;
         core.last_event = std::max(core.last_event, core.clock);
-        core.busy += dur;
         report.dynamic_energy.global_memory +=
             energy.global_mem_energy_per_byte() * static_cast<double>(op.bytes);
         report.dynamic_energy.local_memory +=
@@ -131,11 +124,9 @@ SimReport Simulator::run(const Schedule& schedule) const {
       }
       case OpKind::kCommSend: {
         const Picoseconds start = std::max(core.clock, dep);
-        const Picoseconds inject = bandwidth_time(op.bytes, hw_.local_memory_gbps);
-        core.clock = start + inject;
-        core.busy += inject;
+        core.clock = add_time(start, dur);
         const Picoseconds arrival =
-            core.clock + noc.transfer_latency(c, op.peer, op.bytes);
+            add_time(core.clock, noc.transfer_latency(c, op.peer, op.bytes));
         channels.send(c, op.peer, op.tag, arrival, op.bytes);
         core.last_event = std::max(core.last_event, core.clock);
         report.dynamic_energy.noc +=
@@ -163,10 +154,8 @@ SimReport Simulator::run(const Schedule& schedule) const {
         }
         Picoseconds start = std::max(core.clock, msg.arrival);
         start = std::max(start, dep);
-        const Picoseconds dur = bandwidth_time(op.bytes, hw_.local_memory_gbps);
-        core.clock = start + dur;
+        core.clock = add_time(start, dur);
         core.last_event = std::max(core.last_event, core.clock);
-        core.busy += dur;
         report.dynamic_energy.local_memory +=
             energy.local_mem_energy_per_byte() * static_cast<double>(op.bytes);
         effect_time = core.clock;

@@ -2,11 +2,14 @@
 
 #include <map>
 
+#include "core/compiler.hpp"
 #include "graph/zoo/zoo.hpp"
 #include "mapping/genetic_mapper.hpp"
 #include "mapping/puma_mapper.hpp"
 #include "schedule/ht_scheduler.hpp"
 #include "schedule/ll_scheduler.hpp"
+#include "schedule/vec_placement.hpp"
+#include "sim/simulator.hpp"
 
 namespace pimcomp {
 namespace {
@@ -208,6 +211,117 @@ TEST(SchedulerTopology, GooglenetConcatsScheduleInBothModes) {
   const MappingSolution s = mapper.map(w, options);
   expect_channels_consistent(schedule_ht(s, {}));
   expect_channels_consistent(schedule_ll(s, {}));
+}
+
+/// A zoo model at its smallest feasible input on auto-fitted cores, mapped
+/// by PUMA (no GA, so the program is fixed by the scheduler alone).
+struct ZooProgram {
+  Graph graph;
+  HardwareConfig hw;
+  std::unique_ptr<Workload> workload;
+  std::unique_ptr<MappingSolution> solution;
+
+  explicit ZooProgram(const std::string& model)
+      : graph(zoo::build(model, model == "inception-v3" ? 96 : 32)),
+        hw(fit_core_count(graph, HardwareConfig::puma_default(),
+                          /*headroom=*/3.0)),
+        workload(std::make_unique<Workload>(graph, hw)),
+        solution(std::make_unique<MappingSolution>(
+            PumaMapper().map(*workload, MapperOptions{}))) {}
+};
+
+TEST(HtVectorPlacement, SlicesCoverEachNodeAndFitUnderTheCrossbarBottleneck) {
+  for (const std::string& model : zoo::model_names()) {
+    SCOPED_TRACE(model);
+    const ZooProgram zp(model);
+    const Graph& g = zp.graph;
+    const HtScheduleOptions options;
+    const Schedule s = schedule_ht(*zp.solution, options);
+    const Picoseconds issue =
+        zp.hw.mvm_issue_interval(options.parallelism_degree);
+
+    struct NodeSum {
+      std::int64_t input_bytes = 0;
+      std::int64_t elements = 0;
+      std::int64_t output_bytes = 0;
+      int slices = 0;
+    };
+    std::map<NodeId, NodeSum> sums;
+    for (NodeId v : standalone_vec_nodes(g)) sums[v] = {};
+    std::vector<Picoseconds> crossbar(s.programs.size(), 0);
+    std::vector<Picoseconds> vector(s.programs.size(), 0);
+    std::vector<std::vector<NodeId>> placed(s.programs.size());
+    for (std::size_t c = 0; c < s.programs.size(); ++c) {
+      for (const Operation& op : s.programs[c]) {
+        const auto it = sums.find(op.node);
+        if (it == sums.end()) {
+          crossbar[c] += busy_time(op, zp.hw, issue);
+          continue;
+        }
+        vector[c] += busy_time(op, zp.hw, issue);
+        NodeSum& sum = it->second;
+        if (op.kind == OpKind::kLoadGlobal) {
+          sum.input_bytes += op.bytes;
+          ++sum.slices;
+          placed[c].push_back(op.node);
+        } else if (op.kind == OpKind::kVfu) {
+          sum.elements += op.elements;
+        } else {
+          ASSERT_EQ(op.kind, OpKind::kStoreGlobal);
+          sum.output_bytes += op.bytes;
+        }
+      }
+    }
+
+    for (const auto& [v, sum] : sums) {
+      SCOPED_TRACE(g.node(v).name);
+      EXPECT_EQ(sum.elements, vfu_elements(g, v));
+      EXPECT_EQ(sum.output_bytes, node_output_bytes(g, v, zp.hw));
+      EXPECT_GE(sum.input_bytes, node_input_bytes(g, v, zp.hw));
+    }
+    // Throughput is set by the busiest core: vector work may only make a
+    // core busier than every crossbar core when a node it hosts cannot be
+    // split any further.
+    const Picoseconds bottleneck =
+        *std::max_element(crossbar.begin(), crossbar.end());
+    const auto fully_split = [&](NodeId v) {
+      return sums[v].slices == std::min(g.node(v).output_shape.height,
+                                        s.core_count());
+    };
+    for (std::size_t c = 0; c < s.programs.size(); ++c) {
+      if (vector[c] <= bottleneck) continue;
+      EXPECT_TRUE(std::any_of(placed[c].begin(), placed[c].end(), fully_split))
+          << "core " << c << " runs " << vector[c]
+          << " ps of vector work against a crossbar bottleneck of "
+          << bottleneck << " ps";
+    }
+  }
+}
+
+TEST(BusyTime, IsTheSimulatorsCoreBusyOnZooProgramsInBothModes) {
+  for (const std::string& model : zoo::model_names()) {
+    const ZooProgram zp(model);
+    for (const PipelineMode mode :
+         {PipelineMode::kHighThroughput, PipelineMode::kLowLatency}) {
+      SCOPED_TRACE(model + "/" + to_string(mode));
+      const Schedule s = mode == PipelineMode::kHighThroughput
+                             ? schedule_ht(*zp.solution, {})
+                             : schedule_ll(*zp.solution, {});
+      SimOptions sim;
+      sim.mode = mode;
+      const SimReport report = Simulator(zp.hw, sim).run(s);
+      const Picoseconds issue =
+          zp.hw.mvm_issue_interval(sim.parallelism_degree);
+      ASSERT_EQ(report.core_busy.size(), s.programs.size());
+      for (std::size_t c = 0; c < s.programs.size(); ++c) {
+        Picoseconds busy = 0;
+        for (const Operation& op : s.programs[c]) {
+          busy += busy_time(op, zp.hw, issue);
+        }
+        EXPECT_EQ(busy, report.core_busy[c]) << "core " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -286,6 +286,26 @@ TEST(Simulator, ValidatesTheScheduleBeforeRunningIt) {
   EXPECT_THROW(run(unsized), SimulationError);
 }
 
+TEST(Simulator, RejectsDurationsAndClocksOutsideSimulatedTime) {
+  // Payloads this large pass validate(), but their durations do not fit
+  // 64-bit picoseconds: the run must fail instead of reporting a wrapped
+  // or zero makespan.
+  const HardwareConfig hw = test_hw(1);
+  const SimOptions opt;
+  const auto run = [&](const Schedule& s) { Simulator(hw, opt).run(s); };
+  Operation load;
+  load.kind = OpKind::kLoadGlobal;
+  load.bytes = std::int64_t{1} << 62;
+  EXPECT_THROW(run(make_schedule({{load}}, 0)), SimulationError);
+  EXPECT_THROW(run(make_schedule({{vfu(std::int64_t{1} << 62)}}, 0)),
+               SimulationError);
+  // Each op fits (about 0.6 * 2^63 ps), but one core's clock cannot hold
+  // both.
+  const std::int64_t large = 6'640'000'000'000'000;
+  EXPECT_THROW(run(make_schedule({{vfu(large), vfu(large)}}, 0)),
+               SimulationError);
+}
+
 TEST(Simulator, BusyNeverExceedsFinish) {
   const HardwareConfig hw = test_hw(2);
   const Schedule s = make_schedule(

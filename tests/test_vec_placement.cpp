@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "graph/builder.hpp"
 #include "graph/zoo/zoo.hpp"
 
@@ -81,6 +82,57 @@ TEST(NodeBytes, InputAndOutputVolumes) {
   // Two 8x8x8 16-bit operands in, one out.
   EXPECT_EQ(node_input_bytes(graph, add, hw), 2 * 8 * 8 * 8 * 2);
   EXPECT_EQ(node_output_bytes(graph, add, hw), 8 * 8 * 8 * 2);
+}
+
+TEST(SplitVecNode, PoolSlicesLoadTheirHaloRows) {
+  // 3x3 stride-2 pad-1 max pool: 8 input rows -> 4 output rows.
+  GraphBuilder b("t", {4, 8, 8});
+  const NodeId c = b.conv(b.input(), 8, 1);
+  const NodeId p = b.max_pool(c, 3, 2, 1);
+  Graph graph = b.build();
+  const HardwareConfig hw = HardwareConfig::puma_default();
+  const std::int64_t row_bytes = 8 * 8 * 2;  // one input row, 16-bit
+
+  const std::vector<VecSlice> whole = split_vec_node(graph, p, 1, hw);
+  ASSERT_EQ(whole.size(), 1u);
+  EXPECT_EQ(whole[0].input_bytes, node_input_bytes(graph, p, hw));
+  EXPECT_EQ(whole[0].elements, vfu_elements(graph, p));
+  EXPECT_EQ(whole[0].output_bytes, node_output_bytes(graph, p, hw));
+
+  // Output rows [0,2) read input rows [0,4); rows [2,4) read [3,8): row 3
+  // is the halo both windows share.
+  const std::vector<VecSlice> two = split_vec_node(graph, p, 2, hw);
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[0].input_bytes, 4 * row_bytes);
+  EXPECT_EQ(two[1].input_bytes, 5 * row_bytes);
+  EXPECT_EQ(two[0].elements + two[1].elements, vfu_elements(graph, p));
+  EXPECT_EQ(two[0].output_bytes, two[1].output_bytes);
+
+  // Three slices of four rows divide the totals exactly, not evenly.
+  const std::vector<VecSlice> three = split_vec_node(graph, p, 3, hw);
+  std::int64_t elements = 0, output_bytes = 0;
+  for (const VecSlice& slice : three) {
+    elements += slice.elements;
+    output_bytes += slice.output_bytes;
+  }
+  EXPECT_EQ(elements, vfu_elements(graph, p));
+  EXPECT_EQ(output_bytes, node_output_bytes(graph, p, hw));
+  EXPECT_THROW(split_vec_node(graph, p, 5, hw), ConfigError);
+}
+
+TEST(SplitVecNode, EltwiseSlicesLoadTheirShareOfBothOperands) {
+  GraphBuilder b("t", {4, 8, 8});
+  const NodeId a = b.conv(b.input(), 8, 1);
+  const NodeId c = b.conv(b.input(), 8, 1);
+  const NodeId add = b.eltwise_add(a, c);
+  Graph graph = b.build();
+  const HardwareConfig hw = HardwareConfig::puma_default();
+  const std::vector<VecSlice> slices = split_vec_node(graph, add, 4, hw);
+  ASSERT_EQ(slices.size(), 4u);
+  for (const VecSlice& slice : slices) {
+    EXPECT_EQ(slice.input_bytes, node_input_bytes(graph, add, hw) / 4);
+    EXPECT_EQ(slice.elements, vfu_elements(graph, add) / 4);
+  }
 }
 
 TEST(DownstreamVecElements, ChargesEachVecNodeOnce) {
